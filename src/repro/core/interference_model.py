@@ -203,7 +203,10 @@ class InterferenceModel:
         return log_density.reshape(n_data, n_segments, *rearranged.shape[2:]).sum(axis=1)
 
     def candidate_log_likelihood(
-        self, observations: np.ndarray, points: np.ndarray
+        self,
+        observations: np.ndarray,
+        points: np.ndarray,
+        valid: np.ndarray | None = None,
     ) -> np.ndarray:
         """Fully-fused joint log-likelihood of candidate lattice points.
 
@@ -216,6 +219,13 @@ class InterferenceModel:
         inside the KDE memory budget, so no candidate-sized intermediate ever
         reaches full size — the dominant memory-bandwidth cost of the decoder
         at realistic frame sizes.
+
+        ``valid`` (boolean, shaped like the result) marks the candidates to
+        score; the others get ``-inf`` without being evaluated.  Within each
+        chunk, every subcarrier's valid (symbol, candidate) pairs are gathered
+        in order, padded to the chunk's largest count, evaluated and scattered
+        back, so a valid entry is bit-identical to the one an unmasked call
+        returns.  Chunks in which every candidate is valid skip the gather.
         """
         observations = np.asarray(observations, dtype=complex)
         points = np.asarray(points, dtype=complex)
@@ -237,33 +247,70 @@ class InterferenceModel:
             )
         if n_segments != self.n_segments:
             raise ValueError(f"expected {self.n_segments} segments, got {n_segments}")
+        if valid is not None:
+            valid = np.asarray(valid, dtype=bool)
+            if valid.shape != points.shape:
+                raise ValueError(f"valid mask shape {valid.shape} does not match {points.shape}")
         kde = self.kde
-        per_segment = self.config.model_scope == "per-segment"
         pairs_per_subcarrier = n_segments * n_symbols * k * kde.n_samples
         chunk = max(1, kde.max_chunk_elements // max(pairs_per_subcarrier, 1))
         out = np.empty((n_data, n_symbols, k))
         for first in range(0, n_data, chunk):
             last = min(first + chunk, n_data)
+            rows_valid = None if valid is None else valid[first:last].reshape(last - first, -1)
+            if rows_valid is None or rows_valid.all():
+                # (rows, P, n_symbols, k)
+                deviations = observations[first:last, :, :, None] - points[first:last, None, :, :]
+                out[first:last] = self._segment_log_likelihood(deviations, first, last)
+                continue
+            # Every subcarrier's valid (symbol, candidate) pairs first, in
+            # their original order, padded to the chunk's largest count with
+            # out-of-sphere pairs (evaluated, then overwritten below).  Flat
+            # indices: row * S * k + symbol * k + candidate.
             rows = last - first
+            order = np.argsort(~rows_valid, axis=1, kind="stable")
+            picked = order[:, : rows_valid.sum(axis=1).max()]
+            picked += np.arange(rows)[:, None] * (n_symbols * k)
+            # The observation of each pair on every segment, at flat index
+            # row * P * S + segment * S + symbol of the chunk.
+            observed = (picked // k)[:, None, :] + (
+                np.arange(rows)[:, None, None] * ((n_segments - 1) * n_symbols)
+                + np.arange(n_segments)[None, :, None] * n_symbols
+            )
             deviations = (
-                observations[first:last, :, :, None] - points[first:last, None, :, :]
-            )  # (rows, P, n_symbols, k)
-            amplitudes = np.abs(deviations)
-            phases = np.arctan2(deviations.imag, deviations.real)
-            if per_segment:
-                log_density = kde._log_density_fused_block(
-                    amplitudes.reshape(rows * n_segments, n_symbols, k),
-                    phases.reshape(rows * n_segments, n_symbols, k),
-                    first * n_segments,
-                    last * n_segments,
-                    owns_inputs=True,
-                )
-                out[first:last] = log_density.reshape(
-                    rows, n_segments, n_symbols, k
-                ).sum(axis=1)
-            else:
-                log_density = kde._log_density_fused_block(
-                    amplitudes, phases, first, last, owns_inputs=True
-                )
-                out[first:last] = log_density.sum(axis=1)
+                observations[first:last].reshape(-1)[observed]
+                - points[first:last].reshape(-1)[picked][:, None, :]
+            )  # (rows, P, picked)
+            scores = out[first:last]
+            scores.reshape(-1)[picked] = self._segment_log_likelihood(deviations, first, last)
+            np.copyto(scores, -np.inf, where=~valid[first:last])
         return out
+
+    def _segment_log_likelihood(self, deviations: np.ndarray, first: int, last: int) -> np.ndarray:
+        """Segment-summed fused log-density of the subcarrier rows ``first:last``.
+
+        ``deviations`` has shape ``(rows, P, ...)``; the result drops the
+        segment axis.  The sum runs segment by segment: a reduction over an
+        outer axis, so its rounding does not depend on the trailing shape.
+        """
+        kde = self.kde
+        rows, n_segments = deviations.shape[:2]
+        queries = deviations.shape[2:]
+        amplitudes = np.abs(deviations)
+        phases = np.arctan2(deviations.imag, deviations.real)
+        if self.config.model_scope == "per-segment":
+            log_density = kde._log_density_fused_block(
+                amplitudes.reshape(rows * n_segments, *queries),
+                phases.reshape(rows * n_segments, *queries),
+                first * n_segments,
+                last * n_segments,
+                owns_inputs=True,
+            ).reshape(deviations.shape)
+        else:
+            log_density = kde._log_density_fused_block(
+                amplitudes, phases, first, last, owns_inputs=True
+            )
+        total = log_density[:, 0].copy()
+        for segment in range(1, n_segments):
+            total += log_density[:, segment]
+        return total

@@ -85,10 +85,12 @@ class FixedSphereMlDecoder:
         ``batched`` selects the vectorised fast path (one sphere selection and
         one KDE evaluation covering every symbol) or the per-symbol reference
         loop; ``None`` defers to ``config.use_batched_decoder``.  The fast
-        path evaluates the same likelihoods through the fused kernel, whose
-        floating-point reassociation changes log-densities only at the
-        ~1e-12 level; decisions are identical unless two candidates tie to
-        within that rounding, which the equivalence suite pins down across
+        path evaluates the likelihoods of the in-sphere candidates only (the
+        reference scores every candidate slot, then masks the padding to
+        ``-inf``) through the fused kernel, whose floating-point
+        reassociation changes log-densities only at the ~1e-12 level;
+        decisions are identical unless two candidates tie to within that
+        rounding, which the equivalence suite pins down across
         constellations, scopes and real scenario workloads.
         """
         observations = np.asarray(observations, dtype=complex)
@@ -114,14 +116,16 @@ class FixedSphereMlDecoder:
         points = candidates.points.reshape(n_symbols, n_data, k)
         # The candidate deviations, their polar conversion and the kernel
         # evaluation run chunk by chunk inside the model — no frame-sized
-        # candidate tensor is ever materialised.
+        # candidate tensor is ever materialised — and only for the in-sphere
+        # candidates; the padding slots come back as -inf.
         subcarrier_major = np.ascontiguousarray(np.transpose(observations, (2, 0, 1)))
         candidate_major = np.ascontiguousarray(np.transpose(points, (1, 0, 2)))
+        valid = np.ascontiguousarray(
+            np.moveaxis(candidates.valid.reshape(n_symbols, n_data, k), 0, 1)
+        )
         log_likelihood = model.candidate_log_likelihood(
-            subcarrier_major, candidate_major
+            subcarrier_major, candidate_major, valid
         )                                                             # (n_data, S, k)
-        valid = np.moveaxis(candidates.valid.reshape(n_symbols, n_data, k), 0, 1)
-        log_likelihood = np.where(valid, log_likelihood, -np.inf)
         best = np.argmax(log_likelihood, axis=-1)                     # (n_data, S)
         indices = np.moveaxis(candidates.indices.reshape(n_symbols, n_data, k), 0, 1)
         decided = np.take_along_axis(indices, best[..., None], axis=-1)[..., 0]

@@ -50,10 +50,24 @@ def _build_trellis() -> dict[str, np.ndarray]:
             input_bit[ns] = bit
             counters[ns] += 1
     assert np.all(counters == 2)
+    # Butterfly structure the fast sweep relies on: new states j and
+    # j + half share the predecessors 2j (slot 0) and 2j + 1 (slot 1).
+    half = _N_STATES // 2
+    butterfly = 2 * (np.arange(_N_STATES) % half)
+    assert np.array_equal(prev_state, np.stack([butterfly, butterfly + 1], axis=1))
 
     # Expected coded bits along each predecessor transition.
     exp_a = out_a[prev_state, input_bit[:, None]]
     exp_b = out_b[prev_state, input_bit[:, None]]
+
+    # Fast-sweep branch layout (pred, half, j) of new state half * 32 + j:
+    # the index 2 * a + b of the coded-bit pair each transition expects, and
+    # the int8 branch costs of all 16 patterns of 0/1 Hamming costs
+    # (a=0, a=1, b=0, b=1 as bits 0-3 of the pattern).
+    hypotheses = 2 * exp_a.T.reshape(2, 2, half) + exp_b.T.reshape(2, 2, half)
+    patterns = (np.arange(16)[:, None] >> np.arange(4)) & 1
+    pair_costs = patterns[:, :2, None] + patterns[:, None, 2:]
+    hamming_branches = pair_costs.reshape(16, 4)[:, hypotheses].astype(np.int8)
     return {
         "next_state": next_state,
         "out_a": out_a,
@@ -62,6 +76,8 @@ def _build_trellis() -> dict[str, np.ndarray]:
         "input_bit": input_bit,
         "exp_a": exp_a,
         "exp_b": exp_b,
+        "hypotheses": hypotheses,
+        "hamming_branches": hamming_branches,
     }
 
 
@@ -84,9 +100,11 @@ class ViterbiDecoder:
         implementation end to end for verification and benchmarking.
     """
 
-    #: Memory bound (in float64 elements) for the precomputed branch-cost
-    #: tensor of the optimised sweep (~128 MiB); larger batches are decoded
-    #: in independent, bit-identical slices.
+    #: Memory bound, in elements, for the step-major branch table of the
+    #: optimised sweep (``n_steps * 2 * states`` elements per frame: int8 on
+    #: the hard-decision path, 16 MiB at the bound; float64 on the soft path,
+    #: 128 MiB).  Larger batches are decoded in independent, bit-identical
+    #: slices.
     MAX_BRANCH_ELEMENTS = 2**24
 
     def __init__(self, terminated: bool = True, reference: bool = False):
@@ -125,16 +143,18 @@ class ViterbiDecoder:
         if coded.ndim != 2 or coded.shape[1] % 2 != 0:
             raise ValueError("coded_bits must have shape (batch, 2*n) with even columns")
         if known_mask is None:
-            known = np.ones_like(coded, dtype=np.float64)
+            known = np.ones(coded.shape, dtype=bool)
         else:
-            known = np.asarray(known_mask, dtype=np.float64)
+            known = np.asarray(known_mask, dtype=bool)
             if known.shape != coded.shape:
                 raise ValueError("known_mask must match coded_bits shape")
         # Branch costs per position: 0 when erased, 0/1 Hamming otherwise.
-        cost_a = _bit_costs(coded[:, 0::2].astype(np.float64), known[:, 0::2])
-        cost_b = _bit_costs(coded[:, 1::2].astype(np.float64), known[:, 1::2])
+        # The fast sweep takes them as exact booleans, the reference as float64.
+        costs = _bit_costs(coded.astype(bool), known)
+        if self.reference:
+            costs = costs.astype(np.float64)
         with obs.span("engine.viterbi", batch=int(coded.shape[0]), soft=False):
-            return self._run(cost_a, cost_b)
+            return self._run(costs[:, 0::2], costs[:, 1::2])
 
     def decode_soft_batch(self, llrs: np.ndarray) -> np.ndarray:
         """Decode a batch of soft codewords given per-bit LLRs.
@@ -156,22 +176,30 @@ class ViterbiDecoder:
         """Shared trellis sweep.
 
         ``cost_a``/``cost_b`` have shape ``(batch, n_steps, 2)`` where the last
-        axis indexes the hypothesised coded bit value (0 or 1).
+        axis indexes the hypothesised coded bit value (0 or 1).  Boolean costs
+        are the exact 0/1 Hamming costs of hard decisions: the fast sweep runs
+        them through an int8 branch table and int32 path metrics.  Float costs
+        (soft decisions) run through the same loop in float64.  Both start the
+        unreachable states at the reference's 10**9, so the integer sweep
+        computes exactly what the float one would.
 
         The add-compare-select recursion is inherently sequential in the step
-        index, so the inner loop stays a Python loop; everything that does not
-        depend on the running metrics — the branch costs of every transition —
-        is gathered for all steps in two vectorised passes up front, and the
-        two-predecessor select uses a direct comparison (`b < a` picks index 1
-        exactly when ``argmin`` would) instead of generic ``argmin`` /
-        ``take_along_axis`` machinery.  Bit-identical to the generic
-        formulation, several times faster on long codewords.
+        index, so the inner loop stays a Python loop.  Everything that does
+        not depend on the running metrics, the branch cost of every transition
+        of every step, is built once up front as a step-major table of shape
+        ``(n_steps, batch, pred, half, j)``.  For the K=7 code the new states
+        ``j`` and ``j + 32`` (``half`` 0 and 1) share the predecessors ``2j``
+        and ``2j + 1`` (``pred`` 0 and 1), so a reshape view of the metrics
+        replaces a per-step gather: one add, one compare and one minimum per
+        step.  Predecessor ``2j + 1`` survives only when strictly better
+        (``c1 < c0``), the tie rule of the reference's ``argmin``, so the
+        decisions are bit-identical to :meth:`_run_reference`.
         """
         if self.reference:
             return self._run_reference(cost_a, cost_b)
         batch, n_steps = cost_a.shape[0], cost_a.shape[1]
-        # The all-step branch tensor below costs n_steps * 2 * states floats
-        # per frame; bound it by sweeping large batches in independent slices
+        # The branch table below costs n_steps * 2 * states elements per
+        # frame; bound it by sweeping large batches in independent slices
         # (frames never interact, so the split is exact).
         max_frames = max(1, self.MAX_BRANCH_ELEMENTS // max(n_steps * 2 * _N_STATES, 1))
         if batch > max_frames:
@@ -181,48 +209,52 @@ class ViterbiDecoder:
                     for start in range(0, batch, max_frames)
                 ]
             )
-        exp_a = _TRELLIS["exp_a"]  # (states, 2 predecessors)
-        exp_b = _TRELLIS["exp_b"]
-        prev_state = _TRELLIS["prev_state"]
-        input_bit = _TRELLIS["input_bit"]
+        half = _N_STATES // 2
+        steps_a = np.moveaxis(cost_a, 1, 0)
+        steps_b = np.moveaxis(cost_b, 1, 0)
+        if cost_a.dtype == bool:
+            # Look each step's branch row up by its pattern of four 0/1 costs.
+            pattern = steps_a[..., 0] + 2 * steps_a[..., 1]
+            pattern += 4 * steps_b[..., 0] + 8 * steps_b[..., 1]
+            branches = np.take(_TRELLIS["hamming_branches"], pattern, axis=0)
+        else:
+            pair_costs = (steps_a[..., :, None] + steps_b[..., None, :]).reshape(n_steps, batch, 4)
+            branches = np.take(pair_costs, _TRELLIS["hypotheses"], axis=2)
 
-        # Branch cost of every (new state, predecessor) transition of every
-        # step, gathered once and laid out as (batch, n_steps, 2 * states)
-        # with the predecessor-0 half first, matching the concatenated
-        # predecessor gather below.
-        pred_order = np.concatenate([prev_state[:, 0], prev_state[:, 1]])
-        exp_a_order = np.concatenate([exp_a[:, 0], exp_a[:, 1]])
-        exp_b_order = np.concatenate([exp_b[:, 0], exp_b[:, 1]])
-        branches = cost_a[:, :, exp_a_order]
-        branches += cost_b[:, :, exp_b_order]
-
-        metrics = np.full((batch, _N_STATES), 1e9)
-        metrics[:, 0] = 0.0
-        survivors = np.empty((n_steps, batch, _N_STATES), dtype=bool)
-
-        gathered = np.empty((batch, 2 * _N_STATES))
+        dtype = np.int32 if branches.dtype == np.int8 else np.float64
+        metrics = np.full((batch, _N_STATES), 10**9, dtype=dtype)
+        metrics[:, 0] = 0
+        # Views of the one metric buffer: predecessors as (batch, pred, 1, j)
+        # and new states as (batch, half, j).  The candidates are stored
+        # predecessor-major so that both halves of the select are contiguous.
+        predecessors = metrics.reshape(batch, half, 2).transpose(0, 2, 1)[:, :, None, :]
+        new_states = metrics.reshape(batch, 2, half)
+        by_predecessor = np.empty((2, batch, 2, half), dtype=dtype)
+        candidates = by_predecessor.transpose(1, 0, 2, 3)
+        candidate0, candidate1 = by_predecessor
+        survivors = np.empty((n_steps, batch, 2, half), dtype=bool)
         for step in range(n_steps):
-            np.take(metrics, pred_order, axis=1, out=gathered)
-            gathered += branches[:, step]
-            candidate0 = gathered[:, :_N_STATES]
-            candidate1 = gathered[:, _N_STATES:]
+            np.add(predecessors, branches[step], out=candidates)
             np.less(candidate1, candidate0, out=survivors[step])
-            # The surviving metric is simply the elementwise minimum; the
-            # comparison above already recorded which branch it came from.
-            np.minimum(candidate0, candidate1, out=metrics)
+            np.minimum(candidate0, candidate1, out=new_states)
 
         if self.terminated:
             states = np.zeros(batch, dtype=np.int64)
         else:
             states = np.argmin(metrics, axis=1)
 
-        decoded = np.empty((batch, n_steps), dtype=np.uint8)
-        rows = np.arange(batch)
+        # Traceback on flat indices ``frame * states + state`` into each
+        # step's survivors; the predecessor of state s is 2 * (s % half) plus
+        # its survivor bit.
+        flat = survivors.reshape(n_steps, batch * _N_STATES)
+        offsets = np.arange(batch) * _N_STATES
+        first_predecessor = (offsets[:, None] + _TRELLIS["prev_state"][:, 0]).reshape(-1)
+        index = offsets + states
+        path = np.empty((n_steps, batch), dtype=np.int64)
         for step in range(n_steps - 1, -1, -1):
-            decoded[:, step] = input_bit[states]
-            choice = survivors[step][rows, states]
-            states = prev_state[states, choice.astype(np.int64)]
-        return decoded
+            path[step] = index
+            index = first_predecessor.take(index) + flat[step].take(index)
+        return np.ascontiguousarray(_TRELLIS["input_bit"][(path - offsets).T])
 
     def _run_reference(self, cost_a: np.ndarray, cost_b: np.ndarray) -> np.ndarray:
         """Original (seed) trellis sweep, kept verbatim for verification."""
@@ -263,8 +295,8 @@ class ViterbiDecoder:
 
 def _bit_costs(received: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Hamming cost of hypothesising coded bit 0 or 1 at each position."""
-    cost0 = known * received            # received 1 while hypothesising 0
-    cost1 = known * (1.0 - received)    # received 0 while hypothesising 1
+    cost0 = known & received     # received 1 while hypothesising 0
+    cost1 = known & ~received    # received 0 while hypothesising 1
     return np.stack([cost0, cost1], axis=-1)
 
 

@@ -9,6 +9,20 @@ from repro.phy.viterbi import ViterbiDecoder, viterbi_decode, viterbi_decode_bat
 from repro.utils.bits import random_bits
 
 
+#: 48 message bits and the six zero tail bits that terminate the trellis.
+KNOWN_MESSAGE = "101101011100001111100001100110100111001011000101" + "000000"
+#: Their rate-1/2 codeword (A0 B0 A1 B1 ...) under generators 133/171 octal,
+#: worked out with a plain seven-cell shift register.
+KNOWN_CODEWORD = (
+    "110100011001011000101111010110010110101101100110011000000011001001010111"
+    "100010000110101000010011101101111011"
+)
+
+
+def _bits(text):
+    return np.array([int(bit) for bit in text], dtype=np.uint8)
+
+
 def _terminated_bits(length, seed):
     bits = random_bits(length, np.random.default_rng(seed))
     bits[-(cc.CONSTRAINT_LENGTH - 1):] = 0
@@ -122,3 +136,19 @@ class TestViterbi:
     def test_random_messages_roundtrip(self, seed):
         bits = _terminated_bits(64, seed)
         assert np.array_equal(viterbi_decode(cc.conv_encode(bits)), bits)
+
+
+class TestKnownAnswer:
+    def test_conv_encode_known_codeword(self):
+        assert "".join(map(str, cc.conv_encode(_bits(KNOWN_MESSAGE)))) == KNOWN_CODEWORD
+
+    @pytest.mark.parametrize(
+        "rate, flips", [("1/2", (3, 40, 81)), ("2/3", (5, 44)), ("3/4", (2, 41))]
+    )
+    @pytest.mark.parametrize("reference", [False, True], ids=["fast", "reference"])
+    def test_punctured_codeword_with_flipped_bits_decodes_exactly(self, rate, flips, reference):
+        received = cc.puncture(_bits(KNOWN_CODEWORD), rate)
+        received[list(flips)] ^= 1
+        full, known = cc.depuncture(received, rate, len(KNOWN_CODEWORD))
+        decoded = ViterbiDecoder(reference=reference).decode(full, known)
+        assert "".join(map(str, decoded)) == KNOWN_MESSAGE

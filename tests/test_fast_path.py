@@ -16,6 +16,7 @@ from repro.core.interference_model import InterferenceModel
 from repro.core.kde import GaussianProductKde, silverman_bandwidth
 from repro.core.ml_decoder import FixedSphereMlDecoder
 from repro.core.receiver import CPRecycleReceiver
+from repro.core.sphere import select_sphere_candidates
 from repro.experiments.config import aci_scenario, build_receivers, cci_scenario
 from repro.experiments.link import default_engine, packet_success_rate, symbol_error_rate
 from repro.experiments.parallel import parallel_map, resolve_workers
@@ -134,6 +135,54 @@ class TestModelFastPath:
         tensor = model.log_likelihood(deviations, fused=True, segments_first=True)
         assert np.allclose(fusedpath, tensor, rtol=1e-9, atol=1e-9)
 
+    @pytest.mark.parametrize(
+        "constellation", [qpsk(), qam16(), qam64()], ids=["qpsk", "16qam", "64qam"]
+    )
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    @pytest.mark.parametrize("budget", [None, 3000], ids=["one-chunk", "split-rows"])
+    def test_masked_candidate_log_likelihood_is_the_masked_unmasked_one(
+        self, constellation, scope, budget
+    ):
+        n_data, n_segments, n_symbols = 12, 5, 9
+        model, rng = self._model(scope, seed=6)
+        model = InterferenceModel(
+            model.deviations, CPRecycleConfig(model_scope=scope, kde_chunk_elements=budget)
+        )
+        true = rng.integers(0, constellation.order, size=(n_data, n_symbols))
+        observations = constellation.map_indices(true)[:, None, :] + 0.3 * (
+            rng.normal(size=(n_data, n_segments, n_symbols))
+            + 1j * rng.normal(size=(n_data, n_segments, n_symbols))
+        )
+        candidates = select_sphere_candidates(
+            constellation,
+            observations.mean(axis=1).reshape(-1),
+            radius=FixedSphereMlDecoder(constellation, model.config).sphere_radius,
+        )
+        k = candidates.n_candidates
+        points = candidates.points.reshape(n_data, n_symbols, k)
+        valid = candidates.valid.reshape(n_data, n_symbols, k)
+        if constellation.order > 4:
+            assert not valid.all()  # the gather path is exercised
+        unmasked = model.candidate_log_likelihood(observations, points)
+        masked = model.candidate_log_likelihood(observations, points, valid)
+        assert np.array_equal(masked, np.where(valid, unmasked, -np.inf))
+        everything = model.candidate_log_likelihood(observations, points, np.ones_like(valid))
+        assert np.array_equal(everything, unmasked)
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    def test_single_valid_candidate_sums_segments_like_unmasked(self, scope):
+        # One valid pair per subcarrier gathers a width-1 query; its segment
+        # sum must still run in the unmasked path's order (P >= 9 is where
+        # numpy would otherwise switch to pairwise summation).
+        model, rng = self._model(scope, n_segments=12, seed=8)
+        observations = rng.normal(size=(12, 12, 1)) + 1j * rng.normal(size=(12, 12, 1))
+        points = rng.normal(size=(12, 1, 4)) + 1j * rng.normal(size=(12, 1, 4))
+        valid = np.zeros((12, 1, 4), dtype=bool)
+        valid[:, :, 0] = True
+        unmasked = model.candidate_log_likelihood(observations, points)
+        masked = model.candidate_log_likelihood(observations, points, valid)
+        assert np.array_equal(masked, np.where(valid, unmasked, -np.inf))
+
     def test_candidate_log_likelihood_validation(self):
         model, rng = self._model("per-segment")
         obs = np.zeros((12, 5, 3), dtype=complex)
@@ -142,6 +191,10 @@ class TestModelFastPath:
         with pytest.raises(ValueError):
             model.candidate_log_likelihood(
                 np.zeros((12, 4, 3), dtype=complex), np.zeros((12, 3, 2), dtype=complex)
+            )
+        with pytest.raises(ValueError):
+            model.candidate_log_likelihood(
+                obs, np.zeros((12, 3, 2), dtype=complex), np.ones((12, 3, 3), dtype=bool)
             )
 
 
@@ -331,13 +384,33 @@ class TestChainEquivalence:
             )
             assert np.array_equal(fast, reference)
 
+    @pytest.mark.parametrize("batch", [1, 4, 16, 64])
+    @pytest.mark.parametrize("terminated", [True, False], ids=["terminated", "unterminated"])
+    def test_viterbi_fast_matches_reference_across_batches(self, batch, terminated):
+        # Random hard bits tie often, so this pins the tie rule as well.
+        rng = np.random.default_rng(batch)
+        coded = rng.integers(0, 2, size=(batch, 180), dtype=np.uint8)
+        known = rng.random(coded.shape) > 0.3
+        known[:, 40:46] = False  # steps 20-22 fully erased: no branch metric at all
+        fast = ViterbiDecoder(terminated=terminated).decode_batch(coded, known)
+        reference = ViterbiDecoder(terminated=terminated, reference=True).decode_batch(
+            coded, known
+        )
+        assert np.array_equal(fast, reference)
+        # Small integer LLRs tie as well; erased positions carry exactly 0.
+        llrs = np.where(known, rng.integers(-3, 4, size=coded.shape), 0).astype(float)
+        fast = ViterbiDecoder(terminated=terminated).decode_soft_batch(llrs)
+        reference = ViterbiDecoder(terminated=terminated, reference=True).decode_soft_batch(llrs)
+        assert np.array_equal(fast, reference)
+
     def test_viterbi_batch_slicing_is_exact(self, monkeypatch):
         # Large batches are swept in memory-bounded slices; frames are
         # independent, so a tiny slice bound must not change a single bit.
         rng = np.random.default_rng(2)
         coded = rng.integers(0, 2, size=(7, 260), dtype=np.uint8)
         whole = ViterbiDecoder().decode_batch(coded)
-        monkeypatch.setattr(ViterbiDecoder, "MAX_BRANCH_ELEMENTS", 260 * 64)  # ~2 frames
+        # Room for one 130-step frame's branch table (steps x 2 x 64) per slice.
+        monkeypatch.setattr(ViterbiDecoder, "MAX_BRANCH_ELEMENTS", 130 * 2 * 64)
         sliced = ViterbiDecoder().decode_batch(coded)
         assert np.array_equal(whole, sliced)
 
