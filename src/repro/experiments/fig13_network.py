@@ -53,7 +53,12 @@ from repro.network.links import (
     psr_conflict_graph,
     simulate_link_matrices,
 )
-from repro.network.neighbors import DEFAULT_THRESHOLD_DBM, NeighborAnalysis, count_interfering_neighbors
+from repro.network.neighbors import (
+    DEFAULT_THRESHOLD_DBM,
+    NeighborAnalysis,
+    count_interfering_neighbors,
+    neighbor_cdf,
+)
 from repro.utils.rng import child_rng
 
 __all__ = [
@@ -139,13 +144,10 @@ def _count_realization(task: _RealizationTask) -> dict[str, list[int]]:
     access_points = task.building.deploy(deploy_rng)
     rss = task.building.pairwise_rss_dbm(access_points, shadowing_rng)
     return {
-        "standard": [int(c) for c in count_interfering_neighbors(rss, task.threshold_dbm)],
-        "cprecycle": [
-            int(c)
-            for c in count_interfering_neighbors(
-                rss, task.threshold_dbm + task.tolerance_gain_db
-            )
-        ],
+        "standard": count_interfering_neighbors(rss, task.threshold_dbm).tolist(),
+        "cprecycle": count_interfering_neighbors(
+            rss, task.threshold_dbm + task.tolerance_gain_db
+        ).tolist(),
     }
 
 
@@ -194,8 +196,9 @@ def _cdf_series(analyses: dict) -> tuple[list[int], dict[str, list[float]]]:
     support = list(range(max_count + 1))
     series = {}
     for analysis in analyses.values():
-        cdf = [(analysis.counts <= value).mean() for value in support]
-        series[analysis.label] = [float(value) for value in cdf]
+        cdf = neighbor_cdf(analysis.counts)[1].tolist()
+        # Past an analysis' own largest count its CDF is exactly 1.
+        series[analysis.label] = cdf + [1.0] * (len(support) - len(cdf))
     return support, series
 
 

@@ -23,11 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.network.pathloss import IndoorPathLossModel
 from repro.utils.rng import ensure_rng
 
 __all__ = ["AccessPoint", "Deployment", "OfficeBuilding", "UniformRandomDeployment"]
+
+#: Elements per row block of :meth:`Deployment.pairwise_rss_dbm` (128 KiB of
+#: float64).  Blocks this small stay cache-resident and are recycled by the
+#: allocator, where n x n temporaries would be freshly mapped and page-faulted
+#: on every call.
+_BLOCK_ELEMENTS = 2**14
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,12 @@ class Deployment:
         """Total number of access points in the deployment."""
         return self.n_floors * self.aps_per_floor
 
-    def floor_positions(self, rng: np.random.Generator) -> list[tuple[float, float]]:
-        """Positions of one floor's access points (before footprint clipping)."""
+    def floor_positions(self, rng: np.random.Generator) -> ArrayLike:
+        """Positions of one floor's access points (before footprint clipping).
+
+        Returns an ``(aps_per_floor, 2)`` array-like of ``(x, y)`` rows (an
+        array or a list of pairs), drawn from ``rng`` in AP order.
+        """
         raise NotImplementedError
 
     # ------------------------------------------------------------------ #
@@ -98,18 +109,14 @@ class Deployment:
         """Place the access points floor by floor."""
         rng = ensure_rng(rng)
         access_points: list[AccessPoint] = []
-        identifier = 0
         for floor in range(self.n_floors):
-            for x, y in self.floor_positions(rng):
-                access_points.append(
-                    AccessPoint(
-                        identifier=identifier,
-                        x=float(np.clip(x, 0.0, self.floor_width_m)),
-                        y=float(np.clip(y, 0.0, self.floor_depth_m)),
-                        floor=floor,
-                    )
-                )
-                identifier += 1
+            positions = np.asarray(self.floor_positions(rng), dtype=float).reshape(-1, 2)
+            xs = np.clip(positions[:, 0], 0.0, self.floor_width_m).tolist()
+            ys = np.clip(positions[:, 1], 0.0, self.floor_depth_m).tolist()
+            access_points.extend(
+                AccessPoint(identifier=identifier, x=x, y=y, floor=floor)
+                for identifier, (x, y) in enumerate(zip(xs, ys), start=len(access_points))
+            )
         return access_points
 
     def pairwise_rss_dbm(
@@ -125,20 +132,24 @@ class Deployment:
         """
         rng = ensure_rng(rng)
         n = len(access_points)
-        xs = np.array([ap.x for ap in access_points])
-        ys = np.array([ap.y for ap in access_points])
-        floors = np.array([ap.floor for ap in access_points])
-        dx = xs[:, None] - xs[None, :]
-        dy = ys[:, None] - ys[None, :]
-        floor_delta = np.abs(floors[:, None] - floors[None, :])
-        dz = floor_delta * self.floor_height_m
-        distance = np.sqrt(dx**2 + dy**2 + dz**2)
-
-        shadowing = self.pathloss.sample_shadowing((n, n), rng)
-        # Shadowing is reciprocal: symmetrise the draw.
-        shadowing = (shadowing + shadowing.T) / np.sqrt(2.0)
-        loss = self.pathloss.path_loss_db(distance, floor_delta, shadowing)
-        rss = self.tx_power_dbm - loss
+        xs, ys, floors = np.array(
+            [(ap.x, ap.y, ap.floor) for ap in access_points], dtype=float
+        ).reshape(n, 3).T
+        draw = self.pathloss.sample_shadowing((n, n), rng)
+        rss = np.empty_like(draw)
+        rows_per_block = max(1, _BLOCK_ELEMENTS // max(n, 1))
+        for start in range(0, n, rows_per_block):
+            rows = slice(start, start + rows_per_block)
+            # Shadowing is reciprocal: symmetrise the draw.
+            shadowing = draw[rows] + draw[:, rows].T
+            shadowing /= np.sqrt(2.0)
+            floor_delta = np.abs(floors[rows, None] - floors)
+            distance = np.square(xs[rows, None] - xs)
+            distance += np.square(ys[rows, None] - ys)
+            distance += np.square(floor_delta * self.floor_height_m)
+            np.sqrt(distance, out=distance)
+            loss = self.pathloss.path_loss_db(distance, floor_delta, shadowing)
+            np.subtract(self.tx_power_dbm, loss, out=rss[rows])
         np.fill_diagonal(rss, np.inf)
         return rss
 
@@ -169,20 +180,15 @@ class OfficeBuilding(Deployment):
         ys = _axis_fractions(n_rows) * self.floor_depth_m
         return [(x, y) for y in ys for x in xs][: self.aps_per_floor]
 
-    def floor_positions(self, rng: np.random.Generator) -> list[tuple[float, float]]:
-        positions = []
-        for x, y in self.base_positions():
-            jitter = rng.normal(0.0, self.placement_jitter_m, size=2)
-            positions.append((x + jitter[0], y + jitter[1]))
-        return positions
+    def floor_positions(self, rng: np.random.Generator) -> np.ndarray:
+        base = np.array(self.base_positions())
+        return base + rng.normal(0.0, self.placement_jitter_m, size=base.shape)
 
 
 @dataclass(frozen=True)
 class UniformRandomDeployment(Deployment):
     """Access points placed uniformly at random over each floor's footprint."""
 
-    def floor_positions(self, rng: np.random.Generator) -> list[tuple[float, float]]:
-        return [
-            (rng.uniform(0.0, self.floor_width_m), rng.uniform(0.0, self.floor_depth_m))
-            for _ in range(self.aps_per_floor)
-        ]
+    def floor_positions(self, rng: np.random.Generator) -> np.ndarray:
+        footprint = [self.floor_width_m, self.floor_depth_m]
+        return rng.uniform(0.0, footprint, size=(self.aps_per_floor, 2))

@@ -43,8 +43,9 @@ def neighbor_cdf(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if counts.size == 0:
         raise ValueError("counts must not be empty")
     support = np.arange(0, counts.max() + 1)
-    cdf = np.array([(counts <= value).mean() for value in support])
-    return support, cdf
+    # cumsum(bincount)[v] is the exact number of counts <= v, so this equals
+    # the per-value ``(counts <= v).mean()`` bit for bit.
+    return support, np.cumsum(np.bincount(counts)) / counts.size
 
 
 def interference_graph(rss_dbm: np.ndarray, threshold_dbm: float) -> nx.Graph:

@@ -39,15 +39,24 @@ class IndoorPathLossModel:
         n_floors: int | np.ndarray = 0,
         shadowing_db: float | np.ndarray = 0.0,
     ) -> float | np.ndarray:
-        """Deterministic path loss plus an externally drawn shadowing term."""
-        distance = np.maximum(np.asarray(distance_m, dtype=float), self.reference_distance_m)
-        loss = (
-            self.reference_loss_db
-            + 10.0 * self.path_loss_exponent * np.log10(distance / self.reference_distance_m)
-            + self.floor_loss_db * np.asarray(n_floors)
-            + np.asarray(shadowing_db)
-        )
-        return loss
+        """Deterministic path loss plus an externally drawn shadowing term.
+
+        Every pass runs in place on one fresh copy of the distances, in the
+        formula's left-to-right order, so the result is bit-identical to
+        evaluating the expression term by term.
+        """
+        distance = np.asarray(distance_m, dtype=float)
+        n_floors = np.asarray(n_floors)
+        shadowing = np.asarray(shadowing_db)
+        loss = np.empty(np.broadcast_shapes(distance.shape, n_floors.shape, shadowing.shape))
+        np.maximum(distance, self.reference_distance_m, out=loss)
+        loss /= self.reference_distance_m
+        np.log10(loss, out=loss)
+        loss *= 10.0 * self.path_loss_exponent
+        loss += self.reference_loss_db
+        loss += self.floor_loss_db * n_floors
+        loss += shadowing
+        return loss[()]
 
     def sample_shadowing(
         self, shape: tuple[int, ...], rng: np.random.Generator

@@ -151,6 +151,17 @@ class TestFigureModules:
         analyses = fig13_network.run_analyses(TINY, n_realizations=2)
         assert analyses["cprecycle"].mean < analyses["standard"].mean
 
+    def test_fig13_cdf_series_pads_to_shared_support(self):
+        # Each receiver's CDF is padded with 1.0 up to the largest count of
+        # either receiver; values equal the per-value (counts <= v).mean().
+        analyses = fig13_network.run_analyses(TINY, n_realizations=2)
+        support, series = fig13_network._cdf_series(analyses)
+        assert support == list(range(int(analyses["standard"].counts.max()) + 1))
+        for analysis in analyses.values():
+            loop = [float((analysis.counts <= value).mean()) for value in support]
+            assert series[analysis.label] == loop
+        assert series["CPRecycle"][-1] == 1.0
+
     def test_fig14(self):
         result = fig14_segment_sweep.run(TINY, sir_values_db=(-16.0,), segment_fractions=(0.1, 1.0))
         assert len(result.x_values) == 2
