@@ -147,9 +147,19 @@ class InterferenceModel:
         merged = np.concatenate([self.deviations, new_deviations], axis=2)
         return InterferenceModel(merged, self.config)
 
-    def log_likelihood(
-        self, deviations: np.ndarray, fused: bool = False, segments_first: bool = False
-    ) -> np.ndarray:
+    def segment_peak_log_density(self) -> np.ndarray:
+        """Highest log-density each segment's model can assign, ``(n_data, P)``.
+
+        See :meth:`GaussianProductKde.peak_log_density`.  Under the pooled
+        scope every segment of a subcarrier shares one density, so its peak is
+        broadcast over the segment axis.
+        """
+        peak = self.kde.peak_log_density()
+        if self.config.model_scope == "pooled":
+            return np.broadcast_to(peak[:, None], (self.n_subcarriers, self.n_segments))
+        return peak.reshape(self.n_subcarriers, self.n_segments)
+
+    def log_likelihood(self, deviations: np.ndarray) -> np.ndarray:
         """Joint log-likelihood of candidate deviations across segments.
 
         ``deviations`` is a complex array of shape ``(n_data, ..., k, P)``
@@ -160,22 +170,11 @@ class InterferenceModel:
         three-dimensional ``(n_data, k, P)`` case.  The result drops the
         segment axis — ``(n_data, ..., k)``: the sum over segments of the
         per-segment log densities (the log of the product in Eq. 5).
-
-        ``fused`` selects the pass-minimised kernel evaluation (see
-        :meth:`GaussianProductKde.log_density`); the batched decoder enables
-        it, the per-symbol reference path keeps the reference kernel.
-
-        ``segments_first`` declares the layout ``(n_data, P, ..., k)`` instead
-        of ``(n_data, ..., k, P)``.  The batched decoder builds its deviation
-        tensor in that layout because it matches the per-segment series
-        ordering exactly, making the flatten below a zero-copy reshape of a
-        tensor that would otherwise need a full transposed copy per call.
         """
         deviations = np.asarray(deviations, dtype=complex)
         if deviations.ndim < 3:
             raise ValueError("deviations must have shape (n_data, ..., k, P)")
-        n_data = deviations.shape[0]
-        n_segments = deviations.shape[1] if segments_first else deviations.shape[-1]
+        n_data, n_segments = deviations.shape[0], deviations.shape[-1]
         if n_data != self.n_subcarriers:
             raise ValueError(
                 f"expected a leading axis of {self.n_subcarriers} subcarriers, got {n_data}"
@@ -185,21 +184,14 @@ class InterferenceModel:
                 f"expected {self.n_segments} segments, got {n_segments}"
             )
         if self.config.model_scope == "pooled":
-            if fused:
-                log_density = self.kde.log_density_complex(deviations)
-            else:
-                log_density = self.kde.log_density(np.abs(deviations), np.angle(deviations))
-            # Pool over the segment axis (position 1 or last, per layout).
-            return log_density.sum(axis=1 if segments_first else -1)
+            log_density = self.kde.log_density(np.abs(deviations), np.angle(deviations))
+            return log_density.sum(axis=-1)
         # per-segment: series axis is (subcarrier, segment); arrange the
         # segment axis next to the subcarriers and flatten the two into the
         # series axis.
-        rearranged = deviations if segments_first else np.moveaxis(deviations, -1, 1)
+        rearranged = np.moveaxis(deviations, -1, 1)
         flattened = rearranged.reshape(n_data * n_segments, *rearranged.shape[2:])
-        if fused:
-            log_density = self.kde.log_density_complex(flattened)
-        else:
-            log_density = self.kde.log_density(np.abs(flattened), np.angle(flattened))
+        log_density = self.kde.log_density(np.abs(flattened), np.angle(flattened))
         return log_density.reshape(n_data, n_segments, *rearranged.shape[2:]).sum(axis=1)
 
     def candidate_log_likelihood(
@@ -207,6 +199,7 @@ class InterferenceModel:
         observations: np.ndarray,
         points: np.ndarray,
         valid: np.ndarray | None = None,
+        segments: np.ndarray | None = None,
     ) -> np.ndarray:
         """Fully-fused joint log-likelihood of candidate lattice points.
 
@@ -221,11 +214,19 @@ class InterferenceModel:
         at realistic frame sizes.
 
         ``valid`` (boolean, shaped like the result) marks the candidates to
-        score; the others get ``-inf`` without being evaluated.  Within each
-        chunk, every subcarrier's valid (symbol, candidate) pairs are gathered
-        in order, padded to the chunk's largest count, evaluated and scattered
-        back, so a valid entry is bit-identical to the one an unmasked call
-        returns.  Chunks in which every candidate is valid skip the gather.
+        score; the others get ``-inf`` without being evaluated.  Every
+        subcarrier's valid (symbol, candidate) pairs are gathered in order,
+        padded to the chunk's largest count, evaluated and scattered back, so
+        a valid entry is bit-identical to the one an unmasked call returns.
+        Subcarriers are visited widest first and a chunk holds as many as the
+        budget allows at its first (widest) row's count, so sparse masks cost
+        little padding; chunks in which every candidate is valid skip the
+        gather.
+
+        ``segments`` (integers ``(n_data, m)``) restricts the sum to those
+        segments of each subcarrier; by default all ``P`` are summed.  The
+        segments are added one at a time in the given order, so naming every
+        segment in ascending order gives the default sums bit for bit.
         """
         observations = np.asarray(observations, dtype=complex)
         points = np.asarray(points, dtype=complex)
@@ -251,65 +252,73 @@ class InterferenceModel:
             valid = np.asarray(valid, dtype=bool)
             if valid.shape != points.shape:
                 raise ValueError(f"valid mask shape {valid.shape} does not match {points.shape}")
+        if segments is None:
+            segments = np.broadcast_to(np.arange(n_segments), (n_data, n_segments))
+        else:
+            segments = np.asarray(segments, dtype=np.intp)
+            if segments.ndim != 2 or segments.shape[0] != n_data:
+                raise ValueError(f"segments must have shape ({n_data}, m), got {segments.shape}")
+            observations = np.take_along_axis(observations, segments[:, :, None], axis=1)
+        n_summed = segments.shape[1]
+        per_segment = self.config.model_scope == "per-segment"
         kde = self.kde
-        pairs_per_subcarrier = n_segments * n_symbols * k * kde.n_samples
-        chunk = max(1, kde.max_chunk_elements // max(pairs_per_subcarrier, 1))
-        out = np.empty((n_data, n_symbols, k))
-        for first in range(0, n_data, chunk):
-            last = min(first + chunk, n_data)
-            rows_valid = None if valid is None else valid[first:last].reshape(last - first, -1)
-            if rows_valid is None or rows_valid.all():
-                # (rows, P, n_symbols, k)
-                deviations = observations[first:last, :, :, None] - points[first:last, None, :, :]
-                out[first:last] = self._segment_log_likelihood(deviations, first, last)
+        budget = kde.max_chunk_elements // (n_summed * kde.n_samples)
+        if valid is None:
+            out = np.empty((n_data, n_symbols, k))
+            counts = np.full(n_data, n_symbols * k)
+            order = np.arange(n_data)
+        else:
+            out = np.full((n_data, n_symbols, k), -np.inf)
+            valid = valid.reshape(n_data, n_symbols * k)
+            counts = valid.sum(axis=1)
+            order = np.argsort(-counts, kind="stable")
+        position = 0
+        while position < n_data and counts[order[position]] > 0:
+            width = int(counts[order[position]])
+            rows = order[position : position + max(1, budget // width)]
+            position += rows.size
+            series = rows[:, None] * n_segments + segments[rows] if per_segment else rows
+            if counts[rows[-1]] == n_symbols * k:
+                # Every pair of the chunk is scored: (rows, m, n_symbols, k).
+                # Unmasked chunks are contiguous, so take views.
+                block = slice(rows[0], rows[-1] + 1) if valid is None else rows
+                deviations = observations[block, :, :, None] - points[block, None, :, :]
+                out[block] = self._segment_log_likelihood(deviations, series)
                 continue
-            # Every subcarrier's valid (symbol, candidate) pairs first, in
-            # their original order, padded to the chunk's largest count with
-            # out-of-sphere pairs (evaluated, then overwritten below).  Flat
-            # indices: row * S * k + symbol * k + candidate.
-            rows = last - first
-            order = np.argsort(~rows_valid, axis=1, kind="stable")
-            picked = order[:, : rows_valid.sum(axis=1).max()]
-            picked += np.arange(rows)[:, None] * (n_symbols * k)
-            # The observation of each pair on every segment, at flat index
-            # row * P * S + segment * S + symbol of the chunk.
-            observed = (picked // k)[:, None, :] + (
-                np.arange(rows)[:, None, None] * ((n_segments - 1) * n_symbols)
-                + np.arange(n_segments)[None, :, None] * n_symbols
-            )
-            deviations = (
-                observations[first:last].reshape(-1)[observed]
-                - points[first:last].reshape(-1)[picked][:, None, :]
-            )  # (rows, P, picked)
-            scores = out[first:last]
-            scores.reshape(-1)[picked] = self._segment_log_likelihood(deviations, first, last)
-            np.copyto(scores, -np.inf, where=~valid[first:last])
+            # Every subcarrier's valid (symbol, candidate) slots first, in
+            # their original order, padded to the chunk's widest count with
+            # out-of-mask slots (evaluated, then overwritten with -inf).
+            slots = np.argsort(~valid[rows], axis=1, kind="stable")[:, :width]
+            # The observation of each pair on every summed segment.
+            observed = observations[
+                rows[:, None, None], np.arange(n_summed)[None, :, None], (slots // k)[:, None, :]
+            ]  # (rows, m, width)
+            picked = np.take_along_axis(points[rows].reshape(rows.size, -1), slots, axis=1)
+            deviations = observed - picked[:, None, :]
+            scores = self._segment_log_likelihood(deviations, series)
+            scores[np.arange(width) >= counts[rows][:, None]] = -np.inf
+            out.reshape(n_data, -1)[rows[:, None], slots] = scores
         return out
 
-    def _segment_log_likelihood(self, deviations: np.ndarray, first: int, last: int) -> np.ndarray:
-        """Segment-summed fused log-density of the subcarrier rows ``first:last``.
+    def _segment_log_likelihood(self, deviations: np.ndarray, series: np.ndarray) -> np.ndarray:
+        """Segment-summed fused log-density of one chunk of subcarrier rows.
 
-        ``deviations`` has shape ``(rows, P, ...)``; the result drops the
+        ``deviations`` has shape ``(rows, m, ...)`` and ``series`` names the
+        density of each row (pooled scope, ``(rows,)``) or of each (row,
+        segment) (per-segment scope, ``(rows, m)``); the result drops the
         segment axis.  The sum runs segment by segment: a reduction over an
         outer axis, so its rounding does not depend on the trailing shape.
         """
-        kde = self.kde
         rows, n_segments = deviations.shape[:2]
         queries = deviations.shape[2:]
         amplitudes = np.abs(deviations)
         phases = np.arctan2(deviations.imag, deviations.real)
-        if self.config.model_scope == "per-segment":
-            log_density = kde._log_density_fused_block(
-                amplitudes.reshape(rows * n_segments, *queries),
-                phases.reshape(rows * n_segments, *queries),
-                first * n_segments,
-                last * n_segments,
-                owns_inputs=True,
-            ).reshape(deviations.shape)
-        else:
-            log_density = kde._log_density_fused_block(
-                amplitudes, phases, first, last, owns_inputs=True
-            )
+        if series.ndim == 2:
+            amplitudes = amplitudes.reshape(rows * n_segments, *queries)
+            phases = phases.reshape(rows * n_segments, *queries)
+        log_density = self.kde._log_density_fused_block(
+            amplitudes, phases, series.reshape(-1), owns_inputs=True
+        ).reshape(deviations.shape)
         total = log_density[:, 0].copy()
         for segment in range(1, n_segments):
             total += log_density[:, segment]

@@ -91,7 +91,9 @@ class GaussianProductKde:
     #: ACI frames (2-core Xeon, AVX-512, numpy 2.4), 2**17 and 2**16 ran
     #: 4-7% and 2-3% faster in median candidate-likelihood time, but 2**17
     #: raised the link benchmark's peak RSS from at most 292-308 MB to about
-    #: 337 MB in a fifth to a third of the runs, so the default stayed.
+    #: 337 MB in a fifth to a third of the runs, so the default stayed.  Once
+    #: the front end worked in place and the decoder pruned, 2**17 peaked
+    #: lower (255 vs 261 MB) but decoded no faster, so it stays again.
     #: Raise it to trade memory for fewer chunk iterations.
     DEFAULT_CHUNK_ELEMENTS = 2**18
 
@@ -164,6 +166,15 @@ class GaussianProductKde:
         """Training samples per density."""
         return self.amplitude_samples.shape[1]
 
+    def peak_log_density(self) -> np.ndarray:
+        """Upper bound of each series' log-density, ``log(n_samples) - log_norm``.
+
+        Every kernel term is ``exp(-d)`` with ``d >= 0``, so the sample sum
+        never exceeds ``n_samples``: no query of a series scores above its
+        peak.  Narrow kernels have high peaks.
+        """
+        return np.log(self.n_samples) - self._log_norm
+
     def log_density(
         self,
         amplitudes: np.ndarray,
@@ -220,48 +231,6 @@ class GaussianProductKde:
             out[start:stop] = block(amplitudes[start:stop], phases[start:stop], start, stop)
         return out
 
-    def log_density_complex(
-        self,
-        deviations: np.ndarray,
-        max_chunk_elements: int | None = None,
-    ) -> np.ndarray:
-        """Fused log-density of complex deviations (fast path only).
-
-        Equivalent to ``log_density(np.abs(d), np.angle(d), fused=True)`` but
-        performs the polar conversion chunk by chunk inside the memory budget,
-        so the amplitude/phase intermediates of a large query never exist at
-        full size: one DRAM round-trip less per decoded batch.
-        """
-        deviations = np.asarray(deviations, dtype=complex)
-        if deviations.shape[0] != self.n_series:
-            raise ValueError(
-                f"query leading dimension {deviations.shape[0]} does not match the "
-                f"number of densities {self.n_series}"
-            )
-        budget = self.max_chunk_elements if max_chunk_elements is None else max_chunk_elements
-        if budget is not None and budget < 1:
-            raise ValueError("max_chunk_elements must be positive when given")
-        n_queries = (
-            int(np.prod(deviations.shape[1:], dtype=np.int64)) if deviations.ndim > 1 else 1
-        )
-        total_elements = self.n_series * max(n_queries, 1) * self.n_samples
-        if total_elements <= budget:
-            return self._log_density_fused_block(
-                np.abs(deviations),
-                np.arctan2(deviations.imag, deviations.real),
-                owns_inputs=True,
-            )
-        chunk = max(1, budget // (max(n_queries, 1) * self.n_samples))
-        out = np.empty(deviations.shape, dtype=float)
-        for start in range(0, self.n_series, chunk):
-            stop = min(start + chunk, self.n_series)
-            rows = deviations[start:stop]
-            self._log_density_fused_block(
-                np.abs(rows), np.arctan2(rows.imag, rows.real), start, stop,
-                out=out[start:stop], owns_inputs=True,
-            )
-        return out
-
     def _log_density_block(
         self, amplitudes: np.ndarray, phases: np.ndarray, start: int = 0, stop: int | None = None
     ) -> np.ndarray:
@@ -296,12 +265,15 @@ class GaussianProductKde:
         self,
         amplitudes: np.ndarray,
         phases: np.ndarray,
-        start: int = 0,
+        start: int | np.ndarray = 0,
         stop: int | None = None,
-        out: np.ndarray | None = None,
         owns_inputs: bool = False,
     ) -> np.ndarray:
         """Pass-minimised kernel evaluation of the series rows ``start:stop``.
+
+        ``start`` may instead be an integer array naming the series of each
+        query row (``stop`` is then ignored), for callers that visit the
+        series out of order.
 
         Instead of materialising the full ``(n_series, ..., n_samples)``
         pair tensor and reducing it with generic small-axis reductions, this
@@ -311,7 +283,11 @@ class GaussianProductKde:
         max/sum for the log-sum-exp.  ~6x fewer memory passes than the
         reference block on typical decoder workloads.
         """
-        rows = slice(start, self.n_series if stop is None else stop)
+        rows = (
+            start
+            if isinstance(start, np.ndarray)
+            else slice(start, self.n_series if stop is None else stop)
+        )
         n_rows = amplitudes.shape[0]
         extra_dims = amplitudes.ndim - 1
         bshape = (n_rows,) + (1,) * extra_dims
@@ -350,7 +326,7 @@ class GaussianProductKde:
             # low = min(a, b).
             first, second = distances
             low = np.minimum(first, second)
-            result = np.maximum(first, second, out=first if out is None else out)
+            result = np.maximum(first, second, out=first)
             np.subtract(low, result, out=result)
             np.exp(result, out=result)
             np.log1p(result, out=result)
@@ -369,7 +345,7 @@ class GaussianProductKde:
             np.exp(term, out=term)
             if term is not total:
                 total += term
-        result = np.log(total, out=total if out is None else out)
+        result = np.log(total, out=total)
         result -= low
         result -= log_norm
         return result

@@ -16,7 +16,12 @@ from repro.core.interference_model import InterferenceModel
 from repro.core.sphere import centroid, select_sphere_candidates
 from repro.phy.constellation import Constellation
 
-__all__ = ["FixedSphereMlDecoder"]
+__all__ = ["FixedSphereMlDecoder", "SCREEN_SEGMENTS"]
+
+#: Segments per subcarrier (those with the highest peak log-density) on which
+#: the fast path screens every candidate before fully scoring only the ones
+#: that can still win.
+SCREEN_SEGMENTS = 3
 
 
 class FixedSphereMlDecoder:
@@ -82,16 +87,52 @@ class FixedSphereMlDecoder:
         ``observations`` has shape ``(P, n_symbols, n_data_subcarriers)``;
         the result has shape ``(n_symbols, n_data_subcarriers)``.
 
-        ``batched`` selects the vectorised fast path (one sphere selection and
-        one KDE evaluation covering every symbol) or the per-symbol reference
-        loop; ``None`` defers to ``config.use_batched_decoder``.  The fast
-        path evaluates the likelihoods of the in-sphere candidates only (the
-        reference scores every candidate slot, then masks the padding to
-        ``-inf``) through the fused kernel, whose floating-point
-        reassociation changes log-densities only at the ~1e-12 level;
-        decisions are identical unless two candidates tie to within that
-        rounding, which the equivalence suite pins down across
+        ``batched`` selects the vectorised fast path (one sphere selection for
+        every symbol, then an exact bound-and-prune likelihood search) or the
+        per-symbol reference loop; ``None`` defers to
+        ``config.use_batched_decoder``.  The fast path scores candidates with
+        the fused kernel of :meth:`InterferenceModel.candidate_log_likelihood`,
+        whose floating-point reassociation changes log-densities only at the
+        ~1e-12 level; decisions match the reference unless two candidates tie
+        to within that rounding, which the equivalence suite pins down across
         constellations, scopes and real scenario workloads.
+
+        The fast path fully scores only the in-sphere candidates that can
+        still win:
+
+        1. *Screen.*  Each subcarrier's ``SCREEN_SEGMENTS`` segments with the
+           highest peak log-density (its narrowest kernels) score every
+           candidate slot, giving partial sums ``p``.  When ``P`` is at most
+           ``SCREEN_SEGMENTS``, the in-sphere candidates are scored on all
+           segments instead and the search stops there.
+        2. *Lead.*  The best in-sphere candidate on ``p`` is scored on all
+           ``P`` segments, giving its total ``L``.
+        3. *Bound.*  A per-segment log-density never exceeds its peak, so a
+           candidate's total is at most ``b = p + u``, with ``u`` the sum of
+           the peaks of the unscreened segments.  Only candidates with
+           ``b >= L - margin`` survive, where
+           ``margin = 1e-6 * (1 + |b| + |L| + sum_P |peak|)``.
+        4. *Confirm.*  The survivors are scored on all ``P`` segments.  The
+           argmax over the leader and the survivors, with everything else at
+           ``-inf``, is the decision.
+
+        Every total adds the same per-element kernel values in segment
+        order, so the leader's and the survivors' totals are bit-identical
+        to those of scoring every candidate, ties included.  A pruned
+        candidate is strictly below the leader, so the argmax is unchanged.
+        Write ``T`` for its computed total and ``eps = 2**-53``:
+
+        * each of its per-segment values ``l_s`` is at most that segment's
+          computed peak plus a few ulps of the peak, since the kernel's
+          sample sum never exceeds ``n_samples``; hence
+          ``sum_s |l_s| <= 2 sum_P |peak| + |T|``;
+        * a sum of ``n`` terms in order is within ``(n - 1) eps sum |terms|``
+          of the exact sum.  Applied to ``T``, ``p``, ``u`` and ``p + u``
+          this gives ``T <= b + 3 P eps (3 sum_P |peak| + 2 |b|)``, plus a
+          few ulps of the peaks.
+
+        That slack is below ``margin`` for any ``P`` under about ``10**8``,
+        so ``b < L - margin`` implies ``T < L``.
         """
         observations = np.asarray(observations, dtype=complex)
         if observations.ndim != 3:
@@ -113,23 +154,59 @@ class FixedSphereMlDecoder:
             max_candidates=self.config.max_candidates,
         )
         k = candidates.n_candidates
-        points = candidates.points.reshape(n_symbols, n_data, k)
-        # The candidate deviations, their polar conversion and the kernel
-        # evaluation run chunk by chunk inside the model — no frame-sized
-        # candidate tensor is ever materialised — and only for the in-sphere
-        # candidates; the padding slots come back as -inf.
+        # Subcarrier-major layouts: observations (n_data, P, S), candidate
+        # points, in-sphere mask and indices (n_data, S, k).
         subcarrier_major = np.ascontiguousarray(np.transpose(observations, (2, 0, 1)))
-        candidate_major = np.ascontiguousarray(np.transpose(points, (1, 0, 2)))
+        points = np.ascontiguousarray(
+            np.moveaxis(candidates.points.reshape(n_symbols, n_data, k), 0, 1)
+        )
         valid = np.ascontiguousarray(
             np.moveaxis(candidates.valid.reshape(n_symbols, n_data, k), 0, 1)
         )
-        log_likelihood = model.candidate_log_likelihood(
-            subcarrier_major, candidate_major, valid
-        )                                                             # (n_data, S, k)
-        best = np.argmax(log_likelihood, axis=-1)                     # (n_data, S)
         indices = np.moveaxis(candidates.indices.reshape(n_symbols, n_data, k), 0, 1)
+        if n_segments <= SCREEN_SEGMENTS:
+            scores = model.candidate_log_likelihood(subcarrier_major, points, valid)
+        else:
+            scores = self._pruned_scores(subcarrier_major, points, valid, model)
+        best = np.argmax(scores, axis=-1)                             # (n_data, S)
         decided = np.take_along_axis(indices, best[..., None], axis=-1)[..., 0]
         return np.ascontiguousarray(decided.T, dtype=np.int64)        # (S, n_data)
+
+    @staticmethod
+    def _pruned_scores(
+        observations: np.ndarray,
+        points: np.ndarray,
+        valid: np.ndarray,
+        model: InterferenceModel,
+    ) -> np.ndarray:
+        """Screen, lead, bound and confirm (see :meth:`decode_frame`).
+
+        Returns ``(n_data, S, k)`` scores: the exact total of the leader and
+        of every survivor, ``-inf`` elsewhere.
+        """
+        peak = model.segment_peak_log_density()                       # (n_data, P)
+        screen = np.sort(
+            np.argsort(-peak, axis=1, kind="stable")[:, :SCREEN_SEGMENTS], axis=1
+        )
+        bound = model.candidate_log_likelihood(observations, points, segments=screen)
+        partial = np.where(valid, bound, -np.inf)
+        leader = np.argmax(partial, axis=-1)[..., None]               # (n_data, S, 1)
+        leader_total = model.candidate_log_likelihood(
+            observations, np.take_along_axis(points, leader, axis=-1)
+        )                                                             # (n_data, S, 1)
+        unscreened = peak.copy()
+        np.put_along_axis(unscreened, screen, 0.0, axis=1)
+        bound += unscreened.sum(axis=1)[:, None, None]
+        margin = np.abs(bound)
+        margin += np.abs(leader_total)
+        margin += 1.0 + np.abs(peak).sum(axis=1)[:, None, None]
+        margin *= 1e-6
+        survivors = bound >= np.subtract(leader_total, margin, out=margin)
+        survivors &= valid
+        np.put_along_axis(survivors, leader, False, axis=-1)
+        scores = model.candidate_log_likelihood(observations, points, survivors)
+        np.put_along_axis(scores, leader, leader_total, axis=-1)
+        return scores
 
     def decode_frame_reference(
         self, observations: np.ndarray, model: InterferenceModel

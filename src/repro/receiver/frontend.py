@@ -313,13 +313,14 @@ class FrontEnd:
                     reference, spec.preamble_frequency, allocation.occupied_bin_array()
                 )
 
-            preamble_eq = preamble_segments / channel[:, None, None, :]
-            data_eq = data_segments / channel[:, None, None, :]
+            # Equalise in place: the segments are this batch's own buffers.
+            preamble_segments /= channel[:, None, None, :]
+            data_segments /= channel[:, None, None, :]
             for position, i in enumerate(same):
                 results[i] = FrontEndOutput(
                     spec=rxs[i].spec,
-                    preamble=preamble_eq[position],
-                    data=data_eq[position],
+                    preamble=preamble_segments[position],
+                    data=data_segments[position],
                     channel_estimate=channel[position],
                     segment_offsets=offsets,
                     frame_start=frame_start,

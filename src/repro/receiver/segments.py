@@ -118,13 +118,17 @@ def extract_segments(
             f"starting at {start}"
         )
     indices = window_starts[..., None] + np.arange(allocation.fft_size)
+    # The gathered windows are a fresh copy: transform and scale them in
+    # place, so the batch's spectra take one buffer instead of three.
     windows = samples[..., indices]  # ([batch,] segments, symbols, fft_size)
-    spectra = np.fft.fft(windows, axis=-1) / np.sqrt(allocation.fft_size)
+    windows = windows.astype(np.result_type(windows.dtype, 1j), copy=False)
+    spectra = np.fft.fft(windows, axis=-1, out=windows)
+    spectra /= np.sqrt(allocation.fft_size)
     if correct_phase:
         # All ramps in one vectorised pass: exp(2i pi f d_j / F) per offset j,
         # with the same per-element operation order as segment_phase_ramp.
         delays = allocation.cp_length - offsets
         bins = np.arange(allocation.fft_size)
         ramps = np.exp((2j * np.pi * bins)[None, :] * delays[:, None] / allocation.fft_size)
-        spectra = spectra * ramps[:, None, :]
+        spectra *= ramps[:, None, :]
     return spectra

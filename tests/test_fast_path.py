@@ -7,27 +7,32 @@ tests pin that contract at every layer — KDE kernel, interference model, ML
 decoder, front end, receivers, FEC chain and the link engine itself.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.channel.scenario import Scenario
 from repro.core.config import CPRecycleConfig
 from repro.core.interference_model import InterferenceModel
 from repro.core.kde import GaussianProductKde, silverman_bandwidth
-from repro.core.ml_decoder import FixedSphereMlDecoder
+from repro.core.ml_decoder import SCREEN_SEGMENTS, FixedSphereMlDecoder
 from repro.core.receiver import CPRecycleReceiver
 from repro.core.sphere import select_sphere_candidates
 from repro.experiments.config import aci_scenario, build_receivers, cci_scenario
 from repro.experiments.link import default_engine, packet_success_rate, symbol_error_rate
 from repro.experiments.parallel import parallel_map, resolve_workers
-from repro.phy.constellation import qam16, qam64, qpsk
+from repro.phy.constellation import bpsk, qam16, qam64, qpsk
 from repro.phy.scrambler import scrambler_sequence
+from repro.phy.subcarriers import dot11g_allocation
 from repro.phy.viterbi import ViterbiDecoder
 from repro.receiver.decode_chain import (
     decode_coded_bits_batch,
     decode_coded_bits_batch_reference,
 )
 from repro.receiver.frontend import FrontEnd
+from repro.receiver.segments import extract_segments
 from repro.receiver.standard import StandardOfdmReceiver
 from repro.utils.rng import child_rng
 
@@ -72,14 +77,6 @@ class TestKdeFastPath:
         fused = kde.log_density(qa, qp, fused=True)
         assert np.allclose(reference, fused, rtol=1e-9, atol=1e-9)
 
-    @pytest.mark.parametrize("budget", [1, 64, 10**9])
-    def test_log_density_complex_matches_polar_fused(self, budget):
-        kde, rng = self._kde(seed=5)
-        dev = rng.normal(size=(23, 4, 3)) + 1j * rng.normal(size=(23, 4, 3))
-        via_polar = kde.log_density(np.abs(dev), np.angle(dev), fused=True)
-        via_complex = kde.log_density_complex(dev, max_chunk_elements=budget)
-        assert np.array_equal(via_polar, via_complex)
-
     def test_invalid_budget_rejected(self):
         kde, rng = self._kde()
         qa = np.full((23, 2), 0.5)
@@ -115,24 +112,14 @@ class TestModelFastPath:
         assert np.array_equal(batched, looped)
 
     @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
-    def test_segments_first_layout_matches_segments_last(self, scope):
-        model, rng = self._model(scope)
-        dev = 0.4 * (rng.normal(size=(12, 7, 4, 5)) + 1j * rng.normal(size=(12, 7, 4, 5)))
-        last = model.log_likelihood(dev, fused=True)
-        first = model.log_likelihood(
-            np.ascontiguousarray(np.moveaxis(dev, -1, 1)), fused=True, segments_first=True
-        )
-        assert np.allclose(last, first, rtol=1e-9, atol=1e-9)
-
-    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
     def test_candidate_log_likelihood_matches_deviation_tensor(self, scope):
         model, rng = self._model(scope, seed=4)
         n_symbols, k = 6, 4
         observations = rng.normal(size=(12, 5, n_symbols)) + 1j * rng.normal(size=(12, 5, n_symbols))
         points = rng.normal(size=(12, n_symbols, k)) + 1j * rng.normal(size=(12, n_symbols, k))
         fusedpath = model.candidate_log_likelihood(observations, points)
-        deviations = observations[:, :, :, None] - points[:, None, :, :]
-        tensor = model.log_likelihood(deviations, fused=True, segments_first=True)
+        deviations = observations.transpose(0, 2, 1)[:, :, None, :] - points[..., None]
+        tensor = model.log_likelihood(deviations)  # reference kernel, (n_data, S, k, P) layout
         assert np.allclose(fusedpath, tensor, rtol=1e-9, atol=1e-9)
 
     @pytest.mark.parametrize(
@@ -183,6 +170,35 @@ class TestModelFastPath:
         masked = model.candidate_log_likelihood(observations, points, valid)
         assert np.array_equal(masked, np.where(valid, unmasked, -np.inf))
 
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    @pytest.mark.parametrize("budget", [None, 50], ids=["one-chunk", "split-rows"])
+    def test_segment_subsets_sum_the_named_segments_in_order(self, scope, budget):
+        model, rng = self._model(scope, seed=9)
+        model = InterferenceModel(
+            model.deviations, CPRecycleConfig(model_scope=scope, kde_chunk_elements=budget)
+        )
+        observations = rng.normal(size=(12, 5, 4)) + 1j * rng.normal(size=(12, 5, 4))
+        points = rng.normal(size=(12, 4, 3)) + 1j * rng.normal(size=(12, 4, 3))
+        valid = rng.random((12, 4, 3)) < 0.7
+        everything = np.broadcast_to(np.arange(5), (12, 5))
+        for mask in (None, valid):
+            full = model.candidate_log_likelihood(observations, points, mask)
+            assert np.array_equal(
+                model.candidate_log_likelihood(observations, points, mask, segments=everything),
+                full,
+            )
+            # Three segments per row, differing between rows.
+            chosen = np.sort(np.argsort(rng.random((12, 5)), axis=1)[:, :3], axis=1)
+            single = [
+                model.candidate_log_likelihood(observations, points, mask, segments=chosen[:, [i]])
+                for i in range(3)
+            ]
+            expected = single[0].copy()
+            expected += single[1]
+            expected += single[2]
+            subset = model.candidate_log_likelihood(observations, points, mask, segments=chosen)
+            assert np.array_equal(subset, expected)
+
     def test_candidate_log_likelihood_validation(self):
         model, rng = self._model("per-segment")
         obs = np.zeros((12, 5, 3), dtype=complex)
@@ -195,6 +211,10 @@ class TestModelFastPath:
         with pytest.raises(ValueError):
             model.candidate_log_likelihood(
                 obs, np.zeros((12, 3, 2), dtype=complex), np.ones((12, 3, 3), dtype=bool)
+            )
+        with pytest.raises(ValueError):
+            model.candidate_log_likelihood(
+                obs, np.zeros((12, 3, 2), dtype=complex), segments=np.zeros(12, dtype=int)
             )
 
 
@@ -223,6 +243,118 @@ class TestDecoderFastPath:
         assert fast.dtype == reference.dtype
         assert np.array_equal(fast, reference)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        constellation=st.sampled_from([bpsk(), qpsk(), qam16(), qam64()]),
+        scope=st.sampled_from(["per-segment", "pooled"]),
+        n_preambles=st.sampled_from([1, 2, 3]),
+        n_segments=st.sampled_from([1, 2, 3, 4, 40]),
+        budget=st.sampled_from([None, 2**8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_pruned_decode_frame_is_the_unpruned_argmax(
+        self, constellation, scope, n_preambles, n_segments, budget, seed
+    ):
+        # Segments are clean, noisy or jammed per subcarrier, persistently
+        # from the training symbols to the data, as under real interference.
+        rng = np.random.default_rng(seed)
+        n_data, n_symbols = 7, 4
+        config = CPRecycleConfig(model_scope=scope, kde_chunk_elements=budget)
+        scale = rng.choice([0.02, 0.3, 1.5], size=(n_data, n_segments))
+
+        def noise(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        model = InterferenceModel(
+            scale[:, :, None] * noise(n_data, n_segments, n_preambles), config
+        )
+        true = rng.integers(0, constellation.order, size=(n_symbols, n_data))
+        observations = constellation.map_indices(true)[None] + scale.T[:, None, :] * noise(
+            n_segments, n_symbols, n_data
+        )
+        decoder = FixedSphereMlDecoder(constellation, config)
+        pruned = decoder.decode_frame(observations, model, batched=True)
+        assert np.array_equal(pruned, _unpruned_decisions(decoder, observations, model))
+        assert np.array_equal(pruned, decoder.decode_frame_reference(observations, model))
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    def test_pruned_scores_are_exact_for_survivors(self, scope):
+        # The leader's and every survivor's totals are the unpruned values
+        # bit for bit; everything pruned is strictly below the maximum.
+        rng = np.random.default_rng(12)
+        n_data, n_segments, n_symbols, k = 20, 12, 6, 5
+        config = CPRecycleConfig(model_scope=scope)
+
+        def noise(*shape):
+            return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+        scale = rng.choice([0.02, 0.3, 1.5], size=(n_data, n_segments, 1))
+        model = InterferenceModel(scale * noise(n_data, n_segments, 2), config)
+        observations = noise(n_data, n_segments, n_symbols)
+        points = noise(n_data, n_symbols, k)
+        valid = rng.random((n_data, n_symbols, k)) < 0.8
+        valid[..., 0] = True
+        unpruned = model.candidate_log_likelihood(observations, points, valid)
+        pruned = FixedSphereMlDecoder._pruned_scores(observations, points, valid, model)
+        scored = np.isfinite(pruned)
+        assert 0 < scored.sum() < valid.sum()  # something was pruned
+        assert np.array_equal(pruned[scored], unpruned[scored])
+        best = unpruned.max(axis=-1, keepdims=True)
+        assert np.array_equal(pruned.max(axis=-1, keepdims=True), best)
+        pruned_away = valid & ~scored
+        assert np.all(unpruned[pruned_away] < np.broadcast_to(best, valid.shape)[pruned_away])
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    def test_screen_leader_can_lose_on_the_unscreened_segments(self, scope):
+        # Amplitude-only unit-width kernels around zero deviation, with a
+        # tiny phase bandwidth so that every segment's peak is positive
+        # (about 5 nats).  All peaks are equal, so the screen takes segments
+        # 0-2, where +1 leads by 0.3 nats; segments 3-4 favour -1 by 0.8.
+        # The leader's total is about 8.7 nats above its screen sum, so the
+        # winner survives only through the unscreened peaks in its bound.
+        constellation = bpsk()
+        config = CPRecycleConfig(
+            model_scope=scope, bandwidth_amplitude=1.0, bandwidth_phase=1e-3, phase_weight=0.0
+        )
+        model = InterferenceModel(np.zeros((1, 5, 2), dtype=complex), config)
+        peak = model.segment_peak_log_density()
+        assert np.all(peak == peak[0, 0]) and peak[0, 0] > 5.0
+        observations = np.array([0.05, 0.05, 0.05, -0.2, -0.2], dtype=complex)[:, None, None]
+        decoder = FixedSphereMlDecoder(constellation, config)
+        points = constellation.points[None, None, :]
+        screen = model.candidate_log_likelihood(
+            observations.transpose(2, 0, 1), points, segments=np.array([[0, 1, 2]])
+        )
+        total = model.candidate_log_likelihood(observations.transpose(2, 0, 1), points)
+        assert np.argmax(screen) != np.argmax(total)
+        winner = np.argmax(total)
+        assert np.array_equal(decoder.decode_frame(observations, model, batched=True), [[winner]])
+        assert np.array_equal(decoder.decode_frame_reference(observations, model), [[winner]])
+
+    @pytest.mark.parametrize("scope", ["per-segment", "pooled"])
+    @pytest.mark.parametrize("n_segments", [2, SCREEN_SEGMENTS + 2, 40])
+    def test_exact_tie_goes_to_the_first_candidate(self, scope, n_segments):
+        # Amplitude-only kernels and observations at the origin: both BPSK
+        # points deviate by exactly 1, so they tie bit for bit and the first
+        # candidate slot must win, as in the unpruned argmax.
+        constellation = bpsk()
+        config = CPRecycleConfig(model_scope=scope, phase_weight=0.0)
+        rng = np.random.default_rng(3)
+        n_data, n_symbols = 5, 3
+        model = InterferenceModel(
+            0.2 * rng.normal(size=(n_data, n_segments, 2)).astype(complex), config
+        )
+        observations = np.zeros((n_segments, n_symbols, n_data), dtype=complex)
+        decoder = FixedSphereMlDecoder(constellation, config)
+        candidates = select_sphere_candidates(
+            constellation, np.zeros(n_symbols * n_data), radius=decoder.sphere_radius
+        )
+        assert candidates.valid.all()
+        first = candidates.indices[:, 0].reshape(n_symbols, n_data)
+        pruned = decoder.decode_frame(observations, model, batched=True)
+        assert np.array_equal(pruned, first)
+        assert np.array_equal(pruned, decoder.decode_frame_reference(observations, model))
+
     def test_config_flag_selects_path(self):
         constellation = qpsk()
         config = CPRecycleConfig(use_batched_decoder=False)
@@ -236,6 +368,29 @@ class TestDecoderFastPath:
             decoder.decode_frame(observations, model),
             decoder.decode_frame(observations, model, batched=True),
         )
+
+
+def _unpruned_decisions(decoder, observations, model):
+    """Argmax of every in-sphere candidate scored on all segments."""
+    n_segments, n_symbols, n_data = observations.shape
+    candidates = select_sphere_candidates(
+        decoder.constellation,
+        observations.mean(axis=0).reshape(-1),
+        radius=decoder.sphere_radius,
+        max_candidates=decoder.config.max_candidates,
+    )
+    k = candidates.n_candidates
+
+    def subcarrier_major(values):
+        return np.ascontiguousarray(np.moveaxis(values.reshape(n_symbols, n_data, k), 0, 1))
+
+    scores = model.candidate_log_likelihood(
+        np.ascontiguousarray(np.transpose(observations, (2, 0, 1))),
+        subcarrier_major(candidates.points),
+        subcarrier_major(candidates.valid),
+    )
+    best = np.argmax(scores, axis=-1)[..., None]
+    return np.take_along_axis(subcarrier_major(candidates.indices), best, axis=-1)[..., 0].T
 
 
 # --------------------------------------------------------------------------- #
@@ -288,6 +443,119 @@ class TestRealizeAndFrontEndBatch:
         for rx, front in zip(rxs, batched):
             expected = front_end.process(rx)
             assert np.array_equal(front.data, expected.data)
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+#: SHA-256 of ``extract_segments`` on a seeded 3 x 2000 buffer (5 symbols from
+#: sample 30), per (batched, n_segments, correct_phase), recorded from the
+#: out-of-place front end.
+EXTRACT_DIGESTS = {
+    (False, 1, True): "bc5f923b8ea60e666ee250af75b4885c5249bb16591451cfc3e8ea9805e30ba1",
+    (False, 4, True): "3524cd800f20e9301871621579974a1f2d27070ea8f222413031848d021dfb46",
+    (False, 16, True): "fc2393c41dec232120fff0bb3a11f4664f264adc569fac76ae6a49cad62c4eb3",
+    (False, 16, False): "6b028723de6cd878fed58c02a10db50d44f0592dc67a4750ed9ed5467cba0ae0",
+    (True, 1, True): "3ae042d8bda4476b9d010bc8406f0861fb85571b919a346e832c8ea7c791caf4",
+    (True, 4, True): "a7b474e1f7b31adc28672430cb26fbd982627415fe0078222d66d644b12fc7ae",
+    (True, 16, True): "1c5a7c9be081036ffd3f8a3f82869b0a4476da33403e1c1656cd6e2ec22c2f44",
+    (True, 16, False): "5de8ef08c08e139418a6d8ff4b9bc592dacbae884973199e0be793a12a8d5189",
+}
+
+#: SHA-256 of the received buffers and of every packet's (preamble, data,
+#: channel estimate) from ``process_batch`` on ``realize_batch(3, seed=5)``.
+PROCESS_BATCH_DIGESTS = {
+    "aci-qpsk": (
+        "f2b27e05a5afae1e696979ceb8eb15e6cd10d73604ee4bffc5651981eed6c8ca",
+        "16f55efc298b19aae239db0aced7789c896711f7a7c8e1d32bc7948fa4682f4e",
+    ),
+    "cci-16qam": (
+        "bd3da153c5c2d36ba24b092fc32368ea93043f1e05f9196e21b358fea24a8a67",
+        "3741a7fae34542b51216a77e7e42c9d9a71505038c1b5adcf0ada47ac5067dcb",
+    ),
+}
+
+#: The FFT and ``exp`` are not correctly rounded, so their last bits depend
+#: on numpy's backend; the digests were recorded where this probe hashes as
+#: below (numpy 2.4, AVX-512).
+_FFT_PROBE = "1510a52ed6c01f3256ee58483db378e3ea17769a1a5b03a39edd5c1cadef2397"
+_SAME_FFT = (
+    _sha256(np.fft.fft(np.exp(1j * np.linspace(0.0, 50.0, 4096)).reshape(64, 64), axis=-1))
+    == _FFT_PROBE
+)
+_needs_recording_backend = pytest.mark.skipif(
+    not _SAME_FFT,
+    reason="numpy's FFT or exp rounds differently here than where the digests were "
+    "recorded; test_extract_segments_matches_original_expression still pins the bits",
+)
+
+
+class TestFrontEndKnownAnswers:
+    def _buffer(self):
+        rng = np.random.default_rng(11)
+        return rng.normal(size=(3, 2000)) + 1j * rng.normal(size=(3, 2000))
+
+    @_needs_recording_backend
+    @pytest.mark.parametrize("case", sorted(EXTRACT_DIGESTS))
+    def test_extract_segments_digest(self, case):
+        batched, n_segments, correct_phase = case
+        buffer = self._buffer()
+        spectra = extract_segments(
+            buffer if batched else buffer[0],
+            dot11g_allocation(),
+            5,
+            30,
+            n_segments=n_segments,
+            correct_phase=correct_phase,
+        )
+        assert _sha256(spectra) == EXTRACT_DIGESTS[case]
+
+    @pytest.mark.parametrize("case", sorted(EXTRACT_DIGESTS))
+    def test_extract_segments_matches_original_expression(self, case):
+        batched, n_segments, correct_phase = case
+        allocation = dot11g_allocation()
+        buffer = self._buffer() if batched else self._buffer()[0]
+        spectra = extract_segments(
+            buffer, allocation, 5, 30, n_segments=n_segments, correct_phase=correct_phase
+        )
+        fft = allocation.fft_size
+        offsets = allocation.cp_length - n_segments + 1 + np.arange(n_segments)
+        starts = 30 + np.arange(5) * allocation.symbol_length
+        windows = buffer[..., (starts[None, :] + offsets[:, None])[..., None] + np.arange(fft)]
+        expected = np.fft.fft(windows, axis=-1) / np.sqrt(fft)
+        if correct_phase:
+            delays = allocation.cp_length - offsets
+            bins = np.arange(fft)
+            ramps = np.exp((2j * np.pi * bins)[None, :] * delays[:, None] / fft)
+            expected = expected * ramps[:, None, :]
+        assert np.array_equal(spectra, expected)
+
+    def test_extract_segments_accepts_real_samples(self):
+        # The in-place FFT needs a complex buffer; real input is cast first.
+        buffer = self._buffer().real
+        allocation = dot11g_allocation()
+        spectra = extract_segments(buffer, allocation, 5, 30, n_segments=4)
+        expected = extract_segments(buffer.astype(complex), allocation, 5, 30, n_segments=4)
+        assert np.array_equal(spectra, expected)
+
+    @_needs_recording_backend
+    @pytest.mark.parametrize("name", sorted(PROCESS_BATCH_DIGESTS))
+    def test_process_batch_digest(self, name):
+        scenario = {
+            "aci-qpsk": lambda: aci_scenario("qpsk-1/2", -15.0, payload_length=40),
+            "cci-16qam": lambda: cci_scenario("16qam-1/2", 12.0, payload_length=40),
+        }[name]()
+        rxs = scenario.realize_batch(3, seed=5)
+        inputs, outputs = PROCESS_BATCH_DIGESTS[name]
+        if _sha256(*[rx.composite for rx in rxs]) != inputs:
+            pytest.skip("the channel realization rounds differently on this backend")
+        fronts = FrontEnd(max_segments=scenario.allocation.cp_length).process_batch(rxs)
+        arrays = [a for f in fronts for a in (f.preamble, f.data, f.channel_estimate)]
+        assert _sha256(*arrays) == outputs
 
 
 # --------------------------------------------------------------------------- #
