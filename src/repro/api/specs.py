@@ -13,10 +13,11 @@ Specs are frozen dataclasses of primitives, so they are picklable (sweep
 points travel to pool workers without ``functools.partial`` gymnastics) and
 content-hashable (:func:`repro.experiments.store.stable_key` gives the same
 digest in every process, which is what keys the persistent point cache and
-result artifacts).  ``to_json``/``from_json`` round-trip every spec exactly
-under ``SPEC_SCHEMA_VERSION``; validation is eager — a malformed spec fails
-at construction with an error naming the offending field, not deep inside a
-sweep.
+result artifacts).  One codec shared by every spec (:class:`SpecCodec`,
+derived from the dataclass fields) round-trips ``to_json``/``from_json``
+exactly under ``SPEC_SCHEMA_VERSION``; validation is eager — a malformed
+spec fails at construction with an error naming the offending field, not
+deep inside a sweep.
 
 The numeric conventions match the hard-coded scenario factories they
 replace (:func:`repro.experiments.config.aci_scenario` and
@@ -34,8 +35,18 @@ import json
 import math
 import re
 import string
-from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import TYPE_CHECKING, Any
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from types import UnionType
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    ClassVar,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 if TYPE_CHECKING:  # runtime imports of repro.network would be circular
     from repro.network.building import Deployment
@@ -64,6 +75,7 @@ from repro.phy.subcarriers import OfdmAllocation, dot11g_allocation, wideband_al
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",
+    "SpecCodec",
     "SpecError",
     "ChannelSpec",
     "AllocationSpec",
@@ -90,26 +102,119 @@ def _set(obj: Any, name: str, value: Any) -> None:
     object.__setattr__(obj, name, value)
 
 
-def _from_payload(cls: type[Any], payload: dict[str, Any], path: str) -> dict[str, Any]:
-    """Validate payload keys against ``cls`` fields; reject typos and missing
-    required fields eagerly (a SpecError, never a raw TypeError)."""
-    if not isinstance(payload, dict):
-        raise SpecError(f"{path} must be a JSON object, got {type(payload).__name__}")
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - names)
-    if unknown:
-        raise SpecError(
-            f"unknown field(s) {unknown} in {path}; valid fields: {sorted(names)}"
+_S = TypeVar("_S", bound="SpecCodec")
+
+
+class SpecCodec:
+    """The JSON codec every spec dataclass shares, derived from its fields.
+
+    ``to_dict`` writes each dataclass field in declaration order (nested
+    specs become objects, tuples become lists); ``from_dict`` reads it back
+    through the field type hints — nested specs, tuples of specs,
+    ``X | None`` and tuples of tuples — rejecting unknown and missing keys,
+    reading JSON ``null`` as the field's default, and naming the full JSON
+    path of any error.  A top-level spec sets ``schema_version``: it leads
+    the payload and ``from_dict`` refuses newer versions.
+    """
+
+    schema_version: ClassVar[int | None] = None
+    # Declared for type checkers only, so dataclasses.fields() accepts the base.
+    __dataclass_fields__: ClassVar[dict[str, Field[Any]]]
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-serialisable payload; :meth:`from_dict` restores an equal spec."""
+        payload: dict[str, Any] = {}
+        if self.schema_version is not None:
+            payload["schema_version"] = self.schema_version
+        for spec_field in fields(self):
+            payload[spec_field.name] = _encode(getattr(self, spec_field.name))
+        return payload
+
+    def to_json(self, indent: int | None = 2) -> str:
+        """Serialise to JSON text; :meth:`from_json` restores an equal spec."""
+        return json.dumps(self.to_dict(), indent=indent)
+
+    @classmethod
+    def from_dict(cls: type[_S], payload: Any, path: str | None = None) -> _S:
+        """Rebuild a spec from :meth:`to_dict` output; ``path`` names it in errors."""
+        path = cls.__name__ if path is None else path
+        if not isinstance(payload, dict):
+            raise SpecError(f"{path} must be a JSON object, got {type(payload).__name__}")
+        data = dict(payload)
+        if cls.schema_version is not None:
+            version = data.pop("schema_version", None)
+            if not isinstance(version, int) or version > cls.schema_version:
+                raise SpecError(
+                    f"unsupported {path} schema version {version!r} "
+                    f"(this build reads <= {cls.schema_version})"
+                )
+        spec_fields = {spec_field.name: spec_field for spec_field in fields(cls)}
+        unknown = sorted(set(data) - set(spec_fields))
+        if unknown:
+            raise SpecError(
+                f"unknown field(s) {unknown} in {path}; valid fields: {sorted(spec_fields)}"
+            )
+        optional = {
+            name
+            for name, spec_field in spec_fields.items()
+            if spec_field.default is not MISSING or spec_field.default_factory is not MISSING
+        }
+        missing = sorted(set(spec_fields) - optional - set(data))
+        if missing:
+            raise SpecError(f"missing required field(s) {missing} in {path}")
+        hints = get_type_hints(cls)
+        kwargs = {
+            name: _decode(hints[name], value, f"{path}.{name}")
+            for name, value in data.items()
+            if value is not None or name not in optional  # null reads as the default
+        }
+        try:
+            return cls(**kwargs)
+        except SpecError as error:
+            raise SpecError(f"{path}: {error}") from error
+
+    @classmethod
+    def from_json(cls: type[_S], text: str) -> _S:
+        """Inverse of :meth:`to_json`."""
+        try:
+            payload = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise SpecError(f"{cls.__name__} is not valid JSON: {error}") from error
+        return cls.from_dict(payload)
+
+
+def _encode(value: Any) -> Any:
+    # Containers are copied, so editing a payload never edits the frozen spec.
+    if isinstance(value, SpecCodec):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_encode(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    return value
+
+
+def _decode(hint: Any, value: Any, path: str) -> Any:
+    """Read one JSON value as the type ``hint`` names."""
+    if isinstance(hint, type) and issubclass(hint, SpecCodec):
+        return hint.from_dict(value, path)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, UnionType):
+        if value is None:
+            return None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        return _decode(inner, value, path)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise SpecError(f"{path} must be a JSON array, got {type(value).__name__}")
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        elif len(args) != len(value):
+            raise SpecError(f"{path} must have {len(args)} entries, got {len(value)}")
+        return tuple(
+            _decode(arg, item, f"{path}[{i}]") for i, (arg, item) in enumerate(zip(args, value))
         )
-    required = {
-        f.name
-        for f in fields(cls)
-        if f.default is MISSING and f.default_factory is MISSING
-    }
-    missing = sorted(required - set(payload))
-    if missing:
-        raise SpecError(f"missing required field(s) {missing} in {path}")
-    return payload
+    return value
 
 
 def _require_mcs(name: str, path: str) -> None:
@@ -121,7 +226,7 @@ def _require_mcs(name: str, path: str) -> None:
 # Channel                                                                     #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ChannelSpec:
+class ChannelSpec(SpecCodec):
     """Declarative propagation channel of a link (desired or interfering).
 
     ``kind`` selects the model: ``"flat"`` (single unit tap, the default),
@@ -182,27 +287,12 @@ class ChannelSpec:
         assert self.taps is not None  # enforced in __post_init__
         return StaticTapChannel(taps=tuple(complex(re_, im) for re_, im in self.taps))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "delay_spread_ns": self.delay_spread_ns,
-            "rician_k_db": self.rician_k_db,
-            "taps": None if self.taps is None else [list(pair) for pair in self.taps],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "channel") -> "ChannelSpec":
-        data = dict(_from_payload(cls, payload, path))
-        if data.get("taps") is not None:
-            data["taps"] = tuple(tuple(pair) for pair in data["taps"])
-        return cls(**data)
-
 
 # --------------------------------------------------------------------------- #
 # Allocation                                                                  #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class AllocationSpec:
+class AllocationSpec(SpecCodec):
     """Declarative sender allocation.
 
     ``kind="dot11g"`` is the standard 802.11a/g 64-point grid;
@@ -250,19 +340,12 @@ class AllocationSpec:
             name=self.name,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "allocation") -> "AllocationSpec":
-        return cls(**_from_payload(cls, payload, path))
-
 
 # --------------------------------------------------------------------------- #
 # Interferers                                                                 #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class InterfererSpec:
+class InterfererSpec(SpecCodec):
     """One declarative interfering transmitter.
 
     ``kind="aci"`` places the interferer on the block of subcarriers
@@ -306,10 +389,6 @@ class InterfererSpec:
                 f"interferer edge_window_length must be >= 0, got {self.edge_window_length}"
             )
         _require_mcs(self.mcs_name, "interferer mcs_name")
-        if self.channel is None:  # JSON null reads as the default flat channel
-            _set(self, "channel", ChannelSpec())
-        if isinstance(self.channel, dict):
-            _set(self, "channel", ChannelSpec.from_dict(self.channel, "interferer channel"))
 
     def build(self, sender: OfdmAllocation, sir_db: float, index: int) -> RealizableInterferer:
         """Resolve to a realisable interferer on the sender's grid."""
@@ -339,24 +418,12 @@ class InterfererSpec:
             label=self.label if self.label is not None else f"cci-{index}",
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["channel"] = self.channel.to_dict()
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "interferer") -> "InterfererSpec":
-        data = dict(_from_payload(cls, payload, path))
-        if isinstance(data.get("channel"), dict):
-            data["channel"] = ChannelSpec.from_dict(data["channel"], f"{path} channel")
-        return cls(**data)
-
 
 # --------------------------------------------------------------------------- #
 # Scenario                                                                    #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(SpecCodec):
     """Declarative link-level scenario: sender + channel + interferer set.
 
     ``sir_db`` is the total signal-to-interference ratio shared by every
@@ -386,24 +453,12 @@ class ScenarioSpec:
             raise SpecError("scenario n_preamble_symbols must be >= 1")
         if self.pad_symbols < 0:
             raise SpecError("scenario pad_symbols must be >= 0")
-        if self.interferers is None:  # JSON null reads as an empty set
-            _set(self, "interferers", ())
-        if self.channel is None:
-            _set(self, "channel", ChannelSpec())
-        interferers = tuple(
-            InterfererSpec.from_dict(item, f"interferers[{i}]") if isinstance(item, dict) else item
-            for i, item in enumerate(self.interferers)
-        )
-        for i, item in enumerate(interferers):
+        _set(self, "interferers", tuple(self.interferers))
+        for i, item in enumerate(self.interferers):
             if not isinstance(item, InterfererSpec):
                 raise SpecError(
                     f"interferers[{i}] must be an InterfererSpec, got {type(item).__name__}"
                 )
-        _set(self, "interferers", interferers)
-        if isinstance(self.channel, dict):
-            _set(self, "channel", ChannelSpec.from_dict(self.channel, "scenario channel"))
-        if isinstance(self.allocation, dict):
-            _set(self, "allocation", AllocationSpec.from_dict(self.allocation))
 
     # ------------------------------------------------------------------ #
     def sender_allocation(self) -> OfdmAllocation:
@@ -468,32 +523,12 @@ class ScenarioSpec:
             pad_symbols=self.pad_symbols,
         )
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mcs_name": self.mcs_name,
-            "payload_length": self.payload_length,
-            "snr_db": self.snr_db,
-            "sir_db": self.sir_db,
-            "allocation": None if self.allocation is None else self.allocation.to_dict(),
-            "interferers": [spec.to_dict() for spec in self.interferers],
-            "channel": self.channel.to_dict(),
-            "n_preamble_symbols": self.n_preamble_symbols,
-            "pad_symbols": self.pad_symbols,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "scenario") -> "ScenarioSpec":
-        data = dict(_from_payload(cls, payload, path))
-        if data.get("interferers") is not None:
-            data["interferers"] = tuple(data["interferers"])
-        return cls(**data)
-
 
 # --------------------------------------------------------------------------- #
 # Network deployments                                                         #
 # --------------------------------------------------------------------------- #
 @dataclass(frozen=True)
-class DeploymentSpec:
+class DeploymentSpec(SpecCodec):
     """Declarative multi-floor Wi-Fi deployment (the network-level scenario).
 
     ``topology`` names a placement rule in the topology registry
@@ -576,13 +611,6 @@ class DeploymentSpec:
 
         return resolve_topology(self.topology)(self)
 
-    def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "deployment") -> "DeploymentSpec":
-        return cls(**_from_payload(cls, payload, path))
-
 
 # --------------------------------------------------------------------------- #
 # Receivers                                                                   #
@@ -597,7 +625,7 @@ RECEIVER_DISPLAY: dict[str, str] = {
 
 
 @dataclass(frozen=True)
-class ReceiverSpec:
+class ReceiverSpec(SpecCodec):
     """One receiver under test, resolved through the plugin registry.
 
     ``name`` must be registered (builtins: ``standard``, ``cprecycle``,
@@ -632,18 +660,6 @@ class ReceiverSpec:
         if self.display is not None:
             return self.display
         return RECEIVER_DISPLAY.get(self.name, self.name)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "n_segments": self.n_segments,
-            "display": self.display,
-            "options": self.options,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "receiver") -> "ReceiverSpec":
-        return cls(**_from_payload(cls, payload, path))
 
 
 # --------------------------------------------------------------------------- #
@@ -704,7 +720,7 @@ def axis_placeholder(field_name: str) -> str:
 
 
 @dataclass(frozen=True)
-class SweepAxis:
+class SweepAxis(SpecCodec):
     """One grid dimension: a target field and its values.
 
     Either ``values`` (explicit grid) or ``span`` (an inclusive
@@ -752,35 +768,16 @@ class SweepAxis:
         n_points = self.n_points if self.n_points is not None else n_points_default
         return SweepAxis(field=self.field, values=tuple(sir_axis(self.span[0], self.span[1], n_points)))
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "field": self.field,
-            "values": None if self.values is None else list(self.values),
-            "span": None if self.span is None else list(self.span),
-            "n_points": self.n_points,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "sweep axis") -> "SweepAxis":
-        data = dict(_from_payload(cls, payload, path))
-        for key in ("values", "span"):
-            if data.get(key) is not None:
-                data[key] = tuple(data[key])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(SpecCodec):
     """The experiment grid: one :class:`SweepAxis` per dimension, outer
     axes first.  Points are executed in row-major grid order."""
 
     axes: tuple[SweepAxis, ...]
 
     def __post_init__(self) -> None:
-        axes = tuple(
-            SweepAxis.from_dict(axis, f"sweep axes[{i}]") if isinstance(axis, dict) else axis
-            for i, axis in enumerate(self.axes)
-        )
+        axes = tuple(self.axes)
         if not axes:
             raise SpecError("a sweep needs at least one axis")
         for i, axis in enumerate(axes):
@@ -795,14 +792,6 @@ class SweepSpec:
     def x_axis(self) -> SweepAxis:
         """The innermost axis — the figure's x dimension."""
         return self.axes[-1]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"axes": [axis.to_dict() for axis in self.axes]}
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any], path: str = "sweep") -> "SweepSpec":
-        data = dict(_from_payload(cls, payload, path))
-        return cls(axes=tuple(data.get("axes") or ()))
 
 
 def _axis_probe_value(axis: SweepAxis) -> Any:
@@ -877,7 +866,7 @@ _NAME_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]*")
 
 
 @dataclass(frozen=True)
-class ExperimentSpec:
+class ExperimentSpec(SpecCodec):
     """One complete, serialisable experiment.
 
     ``kind="psr"`` (the default) sweeps packet success rate over the grid:
@@ -911,6 +900,8 @@ class ExperimentSpec:
     seed: int | None = None
     engine: str | None = None
 
+    schema_version: ClassVar[int] = SPEC_SCHEMA_VERSION
+
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise SpecError(f"experiment name must be a non-empty string, got {self.name!r}")
@@ -929,18 +920,8 @@ class ExperimentSpec:
             raise SpecError(f"experiment n_packets must be >= 1, got {self.n_packets}")
         if self.payload_length is not None and self.payload_length < 1:
             raise SpecError(f"experiment payload_length must be >= 1, got {self.payload_length}")
-        _set(self, "notes", tuple(self.notes or ()))
-        if self.receivers is None:  # JSON null reads as an empty set
-            _set(self, "receivers", ())
-        if isinstance(self.scenario, dict):
-            _set(self, "scenario", ScenarioSpec.from_dict(self.scenario))
-        if isinstance(self.sweep, dict):
-            _set(self, "sweep", SweepSpec.from_dict(self.sweep))
-        receivers = tuple(
-            ReceiverSpec.from_dict(item, f"receivers[{i}]") if isinstance(item, dict) else item
-            for i, item in enumerate(self.receivers)
-        )
-        _set(self, "receivers", receivers)
+        _set(self, "notes", tuple(self.notes))
+        _set(self, "receivers", tuple(self.receivers))
         if self.kind == "analysis":
             self._validate_analysis()
         else:
@@ -1114,60 +1095,3 @@ class ExperimentSpec:
             payload_length=payload,
             seed=seed,
         )
-
-    # ------------------------------------------------------------------ #
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-serialisable payload (schema-versioned)."""
-        return {
-            "schema_version": SPEC_SCHEMA_VERSION,
-            "name": self.name,
-            "figure": self.figure,
-            "title": self.title,
-            "kind": self.kind,
-            "scenario": None if self.scenario is None else self.scenario.to_dict(),
-            "receivers": [receiver.to_dict() for receiver in self.receivers],
-            "sweep": None if self.sweep is None else self.sweep.to_dict(),
-            "series_label": self.series_label,
-            "x_label": self.x_label,
-            "x_transform": self.x_transform,
-            "y_label": self.y_label,
-            "notes": list(self.notes),
-            "analysis": self.analysis,
-            "params": self.params,
-            "n_packets": self.n_packets,
-            "payload_length": self.payload_length,
-            "seed": self.seed,
-            "engine": self.engine,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        """Serialise to JSON text; :meth:`from_json` restores an equal spec."""
-        return json.dumps(self.to_dict(), indent=indent)
-
-    @classmethod
-    def from_dict(cls, payload: dict[str, Any]) -> "ExperimentSpec":
-        """Rebuild a spec from :meth:`to_dict` output, checking the schema."""
-        if not isinstance(payload, dict):
-            raise SpecError(f"experiment spec must be a JSON object, got {type(payload).__name__}")
-        payload = dict(payload)
-        version = payload.pop("schema_version", None)
-        if not isinstance(version, int) or version > SPEC_SCHEMA_VERSION:
-            raise SpecError(
-                f"unsupported experiment-spec schema version {version!r} "
-                f"(this build reads <= {SPEC_SCHEMA_VERSION})"
-            )
-        data = dict(_from_payload(cls, payload, "experiment spec"))
-        if data.get("receivers") is not None:
-            data["receivers"] = tuple(data["receivers"])
-        if data.get("notes") is not None:
-            data["notes"] = tuple(data["notes"])
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentSpec":
-        """Inverse of :meth:`to_json`."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as error:
-            raise SpecError(f"experiment spec is not valid JSON: {error}") from error
-        return cls.from_dict(payload)

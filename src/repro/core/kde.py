@@ -180,7 +180,6 @@ class GaussianProductKde:
         amplitudes: np.ndarray,
         phases: np.ndarray,
         max_chunk_elements: int | None = None,
-        fused: bool = False,
     ) -> np.ndarray:
         """Log of the estimated density at the query points.
 
@@ -194,14 +193,6 @@ class GaussianProductKde:
         query is split into chunks along the flattened trailing axes and the
         chunks are evaluated sequentially — numerically identical to a single
         pass because every reduction runs over the training-sample axis only.
-
-        ``fused=True`` selects the pass-minimised evaluation used by the
-        batched decoder fast path: pre-scaled kernels, in-place accumulation
-        over the sample axis and a remainder-free phase wrap.  It computes the
-        same quantity with the same stability guarantees but associates the
-        floating-point operations differently, so results agree with the
-        reference evaluation only to rounding error (~1e-12 relative); symbol
-        decisions derived from either are identical in practice.
         """
         amplitudes = np.asarray(amplitudes, dtype=float)
         phases = np.asarray(phases, dtype=float)
@@ -215,11 +206,10 @@ class GaussianProductKde:
         budget = self.max_chunk_elements if max_chunk_elements is None else max_chunk_elements
         if budget is not None and budget < 1:
             raise ValueError("max_chunk_elements must be positive when given")
-        block = self._log_density_fused_block if fused else self._log_density_block
         n_queries = int(np.prod(amplitudes.shape[1:], dtype=np.int64)) if amplitudes.ndim > 1 else 1
         total_elements = self.n_series * max(n_queries, 1) * self.n_samples
         if total_elements <= budget:
-            return block(amplitudes, phases)
+            return self._log_density_block(amplitudes, phases)
 
         # Chunk along the series axis: each chunk is a contiguous row slice of
         # the query AND of the per-series sample banks, so the kernel passes
@@ -228,7 +218,9 @@ class GaussianProductKde:
         out = np.empty(amplitudes.shape)
         for start in range(0, self.n_series, chunk):
             stop = min(start + chunk, self.n_series)
-            out[start:stop] = block(amplitudes[start:stop], phases[start:stop], start, stop)
+            out[start:stop] = self._log_density_block(
+                amplitudes[start:stop], phases[start:stop], start, stop
+            )
         return out
 
     def _log_density_block(
@@ -281,7 +273,9 @@ class GaussianProductKde:
         query-sized buffers: pre-scaled kernel distances, a ``rint``-based
         phase wrap (cheaper than the remainder-based one), and an online
         max/sum for the log-sum-exp.  ~6x fewer memory passes than the
-        reference block on typical decoder workloads.
+        reference block on typical decoder workloads.  It associates the
+        floating-point operations differently, so it agrees with
+        :meth:`log_density` only to rounding error (~1e-12 relative).
         """
         rows = (
             start

@@ -44,7 +44,7 @@ Usage::
     cprecycle-experiments lint --project src/ tests/
                                           # determinism/process-safety static
                                           # analysis (per-file rules
-                                          # RPR001-RPR006 and RPR011 plus the
+                                          # RPR001-RPR005 and RPR011 plus the
                                           # whole-program rules RPR007-RPR010
                                           # with --project, see repro.lint);
                                           # also available as repro-lint /

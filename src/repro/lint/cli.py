@@ -25,8 +25,9 @@ def build_parser(prog: str = "repro-lint") -> argparse.ArgumentParser:
         prog=prog,
         description=(
             "Static analysis for the reproduction's determinism and "
-            "process-safety invariants: per-file rules RPR001-RPR006, plus "
-            "the whole-program rules RPR007-RPR010 with --project."
+            "process-safety invariants: per-file rules RPR001-RPR005 and "
+            "RPR011, plus the whole-program rules RPR007-RPR010 with --project "
+            "(RPR006 is retired)."
         ),
     )
     parser.add_argument(

@@ -65,7 +65,6 @@ def _load_rules() -> tuple[Rule, ...]:
     from repro.lint.rules.rpr003_process_safety import ProcessSafetyRule
     from repro.lint.rules.rpr004_cache_keys import CacheKeyHygieneRule
     from repro.lint.rules.rpr005_raw_writes import RawArtifactWriteRule
-    from repro.lint.rules.rpr006_spec_schema import SpecSchemaRule
     from repro.lint.rules.rpr007_rng_provenance import RngProvenanceRule
     from repro.lint.rules.rpr008_shared_state import SharedMutableStateRule
     from repro.lint.rules.rpr009_pickle_reach import PicklabilityReachRule
@@ -78,7 +77,6 @@ def _load_rules() -> tuple[Rule, ...]:
         ProcessSafetyRule(),
         CacheKeyHygieneRule(),
         RawArtifactWriteRule(),
-        SpecSchemaRule(),
         RngProvenanceRule(),
         SharedMutableStateRule(),
         PicklabilityReachRule(),

@@ -1,8 +1,8 @@
-"""RPR010: registry and spec coherence across modules.
+"""RPR010: registry coherence across modules.
 
 Specs persist *names* — ``"receiver": "cprecycle"``, ``"analysis":
 "fig4-segment-profile"`` — that only mean something if the registry entry
-behind them is importable from a fresh process.  Three cross-module
+behind them is importable from a fresh process.  Two cross-module
 invariants keep that true, and each has failed silently in other projects:
 
 * a name registered twice (without ``overwrite=True``) makes ``--list``
@@ -10,14 +10,10 @@ invariants keep that true, and each has failed silently in other projects:
 * the lazy ``_BUILTIN_ANALYSIS_MODULES`` table must stay bijective with
   the ``register_analysis(...)`` call sites it promises to import — a
   missing module or an unlisted analysis means a spec that round-trips to
-  JSON cannot be executed by a fresh interpreter;
-* a ``*Spec.from_dict`` that reads a payload key its own ``to_dict`` never
-  writes (and that is not a field) can only ever see that key from
-  hand-edited JSON — usually a renamed-field remnant that silently breaks
-  round-trips.
+  JSON cannot be executed by a fresh interpreter.
 
-Per-file RPR006 already checks to_dict field coverage; this rule checks
-the *relationships* between call sites that live in different modules.
+Spec JSON round-trips need no lint: every spec shares one codec derived
+from its dataclass fields (:class:`repro.api.specs.SpecCodec`).
 """
 
 from __future__ import annotations
@@ -29,19 +25,12 @@ from repro.lint.diagnostics import Diagnostic
 from repro.lint.engine import dotted_name
 from repro.lint.project import ModuleSymbols, ProjectContext
 from repro.lint.rules import ProjectRule
-from repro.lint.rules.rpr006_spec_schema import (
-    _annotated_fields,
-    _covered_fields,
-    _is_dataclass,
-    _method,
-)
 
 __all__ = ["RegistryCoherenceRule"]
 
 _REGISTRARS = frozenset({"register_receiver", "register_analysis", "register_topology"})
 _BUILTIN_TABLE = "_BUILTIN_ANALYSIS_MODULES"
 _REGISTRY_MODULE = "repro.api.registry"
-_KEY_READERS = frozenset({"get", "pop"})
 
 
 def _registration_name(call: ast.Call) -> str | None:
@@ -65,23 +54,21 @@ class RegistryCoherenceRule(ProjectRule):
     code = "RPR010"
     name = "registry-coherence"
     summary = (
-        "registry call sites, the lazy builtin-analysis table, and *Spec "
-        "serialisers must stay mutually consistent"
+        "registry call sites and the lazy builtin-analysis table must stay "
+        "mutually consistent"
     )
     invariant = (
         "Every name a spec persists must resolve from a fresh interpreter: "
-        "registrations are unique (or explicitly overwriting), the lazy "
+        "registrations are unique (or explicitly overwriting) and the lazy "
         "builtin-analysis table imports exactly the modules that register "
-        "the names it maps, and from_dict reads only keys that to_dict "
-        "writes or that are real fields — so --list output, JSON manifests "
-        "and registry state can never drift apart."
+        "the names it maps — so --list output, JSON manifests and registry "
+        "state can never drift apart."
     )
 
     def check_project(self, project: ProjectContext) -> Iterator[Diagnostic]:
         registrations = self._collect_registrations(project)
         yield from self._check_duplicates(registrations)
         yield from self._check_builtin_table(project, registrations)
-        yield from self._check_spec_serialisers(project)
 
     # -- registrations ------------------------------------------------------ #
     def _collect_registrations(
@@ -190,99 +177,3 @@ class RegistryCoherenceRule(ProjectRule):
                         f"is missing from {_BUILTIN_TABLE}; a spec naming it "
                         "cannot be resolved from a fresh process",
                     )
-
-    # -- spec serialiser coherence ------------------------------------------ #
-    def _check_spec_serialisers(self, project: ProjectContext) -> Iterator[Diagnostic]:
-        for symbols in project.modules():
-            for node in ast.walk(symbols.ctx.tree):
-                if not isinstance(node, ast.ClassDef):
-                    continue
-                if not node.name.endswith("Spec") or not _is_dataclass(node):
-                    continue
-                yield from self._check_spec(symbols, node)
-
-    def _check_spec(self, symbols: ModuleSymbols, node: ast.ClassDef) -> Iterator[Diagnostic]:
-        fields = {name for name, _ in _annotated_fields(node)}
-        yield from self._check_validate(symbols, node, fields)
-        serialiser = _method(node, ("to_dict",))
-        constructor = _method(node, ("from_dict",))
-        if serialiser is None or constructor is None:
-            return
-        written = _covered_fields(serialiser)
-        for key, read_node in self._payload_reads(constructor):
-            if key in fields:
-                continue
-            if written is None or key in written:
-                continue
-            yield symbols.ctx.diagnostic(
-                read_node,
-                self.code,
-                f"{node.name}.from_dict reads payload key '{key}' that is "
-                "neither a field nor ever written by to_dict; round-tripped "
-                "manifests can never contain it — likely a renamed-field "
-                "remnant",
-            )
-
-    def _payload_reads(self, constructor: ast.FunctionDef) -> Iterator[tuple[str, ast.AST]]:
-        """String keys ``from_dict`` reads off its payload mapping."""
-        mapping_names = {
-            arg.arg
-            for arg in (*constructor.args.posonlyargs, *constructor.args.args)
-            if arg.arg not in {"cls", "self"}
-        }
-        for inner in ast.walk(constructor):
-            if (
-                isinstance(inner, ast.Subscript)
-                and isinstance(inner.value, ast.Name)
-                and inner.value.id in mapping_names
-                and isinstance(inner.ctx, ast.Load)
-                and isinstance(inner.slice, ast.Constant)
-                and isinstance(inner.slice.value, str)
-            ):
-                yield inner.slice.value, inner
-            elif (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr in _KEY_READERS
-                and isinstance(inner.func.value, ast.Name)
-                and inner.func.value.id in mapping_names
-                and inner.args
-                and isinstance(inner.args[0], ast.Constant)
-                and isinstance(inner.args[0].value, str)
-            ):
-                yield inner.args[0].value, inner
-
-    def _check_validate(
-        self, symbols: ModuleSymbols, node: ast.ClassDef, fields: set[str]
-    ) -> Iterator[Diagnostic]:
-        validator = _method(node, ("validate",))
-        if validator is None:
-            return
-        methods = {
-            member.name
-            for member in node.body
-            if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        class_names = {
-            target.id
-            for statement in node.body
-            if isinstance(statement, ast.Assign)
-            for target in statement.targets
-            if isinstance(target, ast.Name)
-        }
-        known = fields | methods | class_names
-        for inner in ast.walk(validator):
-            if (
-                isinstance(inner, ast.Attribute)
-                and isinstance(inner.value, ast.Name)
-                and inner.value.id == "self"
-                and inner.attr not in known
-                and not inner.attr.startswith("__")
-            ):
-                yield symbols.ctx.diagnostic(
-                    inner,
-                    self.code,
-                    f"{node.name}.validate references self.{inner.attr}, "
-                    "which is neither a field nor a method of the spec; the "
-                    "validated and serialised field sets have drifted apart",
-                )

@@ -6,14 +6,18 @@ The load-bearing guarantees:
   hard-coded factories it replaces (same allocations, same per-interferer
   SIR split, same realised waveforms);
 * every builtin ``ExperimentSpec`` round-trips ``to_json``/``from_json``
-  exactly, resolved and unresolved;
+  exactly, resolved and unresolved, and keeps its pinned hash and JSON
+  bytes; every field of every spec survives the shared codec;
 * spec hashes are stable across processes (they key the persistent point
   cache and the result artifacts);
 * validation is eager and actionable.
 """
 
+import dataclasses
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -23,10 +27,13 @@ import pytest
 
 from repro.api import (
     AllocationSpec,
+    CampaignExperiment,
+    CampaignSpec,
     ChannelSpec,
     DeploymentSpec,
     ExperimentSpec,
     InterfererSpec,
+    PrecisionSpec,
     ReceiverSpec,
     ScenarioSpec,
     SpecError,
@@ -34,6 +41,7 @@ from repro.api import (
     SweepSpec,
     spec_hash,
 )
+from repro.api.specs import SpecCodec
 from repro.channel.multipath import ExponentialMultipathChannel, FlatChannel
 from repro.experiments import config as expcfg
 from repro.experiments.config import QUICK_PROFILE, ExperimentProfile
@@ -627,3 +635,366 @@ class TestSpecHashStability:
         b = builtin_spec("fig8").resolve(TINY)
         assert spec_hash(a) != spec_hash(b)
         assert stable_key(a) == stable_key(builtin_spec("fig8").resolve(QUICK_PROFILE))
+
+
+# --------------------------------------------------------------------------- #
+# Known answers: the codec must not change any spec's identity               #
+# --------------------------------------------------------------------------- #
+#: Per builtin: spec_hash of the QUICK-resolved spec, then the SHA-256 of the
+#: builtin's to_json() text, unresolved and QUICK-resolved.  Recorded before
+#: the shared codec replaced the hand-written per-class ones; a class move or
+#: rename, or a codec change, shows up here.
+BUILTIN_KNOWN_ANSWERS = {
+    "fig4": (
+        "42c87f2b4bf7",
+        "44cfe8921d2d09c3b3ba90554ed7bfcdf2b5ba197a0fab5669e5080150440a4c",
+        "fd1d5fc3759e03321b79fa55723bbb34341071dad0a0d28c15a76d6c5108f9b1",
+    ),
+    "fig5": (
+        "a8f3753e294f",
+        "1ae1e27ac077d62176ffc6f6dea86f86eb65704ef3accbbae444b040ac46090f",
+        "4a019cafd73103d1088b4404217bb652d29bfde49c00ee01d3fb51823b456150",
+    ),
+    "fig6": (
+        "0c859cb33df2",
+        "b37502849adab2be6bffc5ce166695d585d7b29c8432bf84b7d902bb07dda64e",
+        "704237f5b937471faeb5382f2ff0deb14e64b561253c93b4f8032fe318a6f76f",
+    ),
+    "fig8": (
+        "f20ea57da15a",
+        "8cee1e2f5a7650d78a200f1448ad56ae04e3a2c1e915286fc5d1ba71c11c01e1",
+        "f1a5130918c8c751a87328fb199142c6e94639127e52786f2438db8174a81b3f",
+    ),
+    "fig9": (
+        "bf0b072335ee",
+        "786e821db7ca39b88cccf7d6a819bf74d97a34c01190674eb52ea131d06417d1",
+        "635b63c161900660e5f5eef6a3aed63f9d3dca73509e38e3afa679ed95683bd5",
+    ),
+    "fig10": (
+        "1c58cea8ff58",
+        "1c796f3172645d6192bdc6c941d81f4ed2527d84a7943d00254c283e65200076",
+        "797e2e8226f71907a7fb587ea405724b1fa429f0cd190a6685ff1810d9957366",
+    ),
+    "fig11": (
+        "0bc032298a1f",
+        "f5b252d12eb1c1e5c55c2023f081312a1f94ff4d756b40dfb2ee06a82d03a9e9",
+        "0c16dee3f9cc1edfeecc537dff9b1c76bc942a80b6d26cde24bcdccfd0fd7662",
+    ),
+    "fig12": (
+        "ee0dd37d15e6",
+        "4d5128d31abfa55de4ddf511faf0428a24323c565a39ef5d85515fcb6ec7ba77",
+        "eda52951194b87599e75140655b352c4e431e8ddb02dd7e45f13f6ceb38ea37d",
+    ),
+    "fig13": (
+        "89753af78a27",
+        "dbe3bdb660f2ae47a6b42c92440c1d98aac2eb95c9d30208cf5cbefc20557d39",
+        "b1dbebe41a57de2520a85878e9494d3a5aed7b482b34689f26ffd8991e3f72cc",
+    ),
+    "fig13-simulated": (
+        "2e88f1f14f1b",
+        "37fd1516d5f2c97c6e789a21f4a8a190dfc674c31e15893535b8108623794f5a",
+        "37da3c79b84c89263ad499bb443f7a8046ebe5d8ed03307808c75236688f4d20",
+    ),
+    "fig14": (
+        "530caec6558e",
+        "463862fc71278623b489a3a7b4eb19052a206abf1a82e1b2e012313a14994638",
+        "79428db3e8c48d8c1458eaa0e438cd54c23e486ab0047aa90cdd389d316b3a57",
+    ),
+    "table1": (
+        "8a085c63ddea",
+        "3d1f3c8b5fd5a26857d4e20e5332cdfb346fe9ba830b6043aca6876f63179097",
+        "6d6ca831d2b06d6ad15d5d9801b5063bd197bc3715345812cbf756d90ee35499",
+    ),
+}
+
+#: The CI smoke campaign as the hand-written codec wrote it ("title" second).
+LEGACY_CI_CAMPAIGN_JSON = """\
+{
+  "schema_version": 1,
+  "name": "ci-campaign",
+  "title": "",
+  "experiments": [
+    {
+      "builtin": "fig4",
+      "spec": null,
+      "deployment": null,
+      "name": null,
+      "precision": null,
+      "n_realizations": null
+    },
+    {
+      "builtin": "fig11",
+      "spec": null,
+      "deployment": null,
+      "name": null,
+      "precision": null,
+      "n_realizations": null
+    }
+  ],
+  "precision": {
+    "ci_halfwidth_pct": 30.0,
+    "confidence": 0.95,
+    "min_packets": 4,
+    "max_packets": null,
+    "growth": 2.0
+  },
+  "profile": "quick",
+  "engine": null,
+  "n_workers": null,
+  "seed": null,
+  "notes": []
+}"""
+
+
+def _ci_campaign() -> CampaignSpec:
+    return CampaignSpec(
+        name="ci-campaign",
+        experiments=(CampaignExperiment(builtin="fig4"), CampaignExperiment(builtin="fig11")),
+        precision=PrecisionSpec(30.0, min_packets=4, growth=2.0),
+        profile="quick",
+    )
+
+
+class TestKnownAnswers:
+    def test_every_builtin_is_pinned(self):
+        assert sorted(BUILTIN_KNOWN_ANSWERS) == sorted(BUILTIN_SPECS)
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_KNOWN_ANSWERS))
+    def test_builtin_hash_and_json_bytes(self, name):
+        expected_hash, expected_json, expected_resolved_json = BUILTIN_KNOWN_ANSWERS[name]
+        build = BUILTIN_SPECS[name]
+        resolved = build().resolve(QUICK_PROFILE)
+        assert spec_hash(resolved) == expected_hash
+        assert hashlib.sha256(build().to_json().encode()).hexdigest() == expected_json
+        assert hashlib.sha256(resolved.to_json().encode()).hexdigest() == expected_resolved_json
+
+    def test_ci_campaign_key(self):
+        assert stable_key(_ci_campaign())[:12] == "07d5972a61c6"
+
+    def test_legacy_campaign_json_still_loads(self):
+        loaded = CampaignSpec.from_json(LEGACY_CI_CAMPAIGN_JSON)
+        assert loaded == _ci_campaign()
+        assert stable_key(loaded)[:12] == "07d5972a61c6"
+        # The field-driven codec writes "title" in declaration order (after
+        # "seed"); everything else, and the content, is unchanged.
+        text = loaded.to_json()
+        assert json.loads(text) == json.loads(LEGACY_CI_CAMPAIGN_JSON)
+        assert CampaignSpec.from_json(text).to_json() == text
+
+
+# --------------------------------------------------------------------------- #
+# Round trip over every field of every spec                                   #
+# --------------------------------------------------------------------------- #
+_EXPONENTIAL = ChannelSpec(kind="exponential", delay_spread_ns=50.0, rician_k_db=3.0)
+_STATIC = ChannelSpec(kind="static", taps=((1.0, 0.0), (0.5, -0.25)))
+_WIDEBAND = AllocationSpec(
+    fft_size=256, cp_fraction=0.125, start_bin=8, n_subcarriers=48, n_pilots=2, name="w"
+)
+_ACI = InterfererSpec(
+    kind="aci",
+    sir_db=3.0,
+    guard_subcarriers=2,
+    side="lower",
+    n_subcarriers=32,
+    mcs_name="16qam-1/2",
+    timing_offset=10,
+    channel=_EXPONENTIAL,
+    edge_window_length=3,
+    label="left",
+)
+_DEPLOYMENT = DeploymentSpec(
+    topology="grid",
+    n_floors=2,
+    aps_per_floor=3,
+    floor_width_m=60.0,
+    floor_depth_m=30.0,
+    floor_height_m=3.5,
+    tx_power_dbm=15.0,
+    placement_jitter_m=1.0,
+    reference_loss_db=40.0,
+    path_loss_exponent=2.5,
+    floor_loss_db=10.0,
+    shadowing_sigma_db=4.0,
+)
+_SWEEP = SweepSpec(
+    axes=(
+        SweepAxis("sir_db", values=(-20.0, -10.0)),
+        SweepAxis("guard_subcarriers", values=(0, 4)),
+    )
+)
+_PSR = ExperimentSpec(
+    name="every-field",
+    figure="X",
+    title="every field set",
+    scenario=ScenarioSpec(
+        mcs_name="16qam-1/2",
+        payload_length=40,
+        snr_db=25.0,
+        sir_db=-10.0,
+        allocation=_WIDEBAND,
+        interferers=(_ACI, InterfererSpec(kind="aci")),
+        channel=_STATIC,
+        n_preamble_symbols=3,
+        pad_symbols=1,
+    ),
+    receivers=(
+        ReceiverSpec("standard"),
+        ReceiverSpec("cprecycle", n_segments=4, display="CPR", options={"model_scope": "pooled"}),
+    ),
+    sweep=_SWEEP,
+    series_label="{receiver} at {sir_db:g} dB",
+    x_label="guard",
+    x_transform="guard_mhz",
+    y_label="psr",
+    notes=("a note",),
+    n_packets=5,
+    payload_length=40,
+    seed=3,
+    engine="reference",
+)
+_PRECISION = PrecisionSpec(
+    ci_halfwidth_pct=2.0, confidence=0.9, min_packets=10, max_packets=100, growth=1.5
+)
+
+#: Instances per codec-using class; together they set every field of the
+#: class to a non-default value (kind-exclusive fields need several).
+EVERY_FIELD_INSTANCES = {
+    ChannelSpec: [_EXPONENTIAL, _STATIC],
+    AllocationSpec: [_WIDEBAND, AllocationSpec(kind="dot11g", name="ap-grid")],
+    InterfererSpec: [_ACI],
+    ScenarioSpec: [_PSR.scenario],
+    DeploymentSpec: [_DEPLOYMENT],
+    ReceiverSpec: [_PSR.receivers[1]],
+    SweepAxis: [_SWEEP.axes[0], SweepAxis("snr_db", span=(10.0, 30.0), n_points=3)],
+    SweepSpec: [_SWEEP],
+    ExperimentSpec: [
+        _PSR,
+        ExperimentSpec(
+            name="analysis",
+            figure="A",
+            title="t",
+            kind="analysis",
+            analysis="table1-isi-free",
+            params={"cp_lengths": [16, 32]},
+        ),
+    ],
+    PrecisionSpec: [_PRECISION],
+    CampaignExperiment: [
+        CampaignExperiment(builtin="fig4", name="f4", precision=_PRECISION),
+        CampaignExperiment(spec=_PSR),
+        CampaignExperiment(deployment=_DEPLOYMENT, name="net", n_realizations=2),
+    ],
+    CampaignSpec: [
+        CampaignSpec(
+            name="every-field",
+            experiments=(
+                CampaignExperiment(builtin="fig4", precision=_PRECISION),
+                CampaignExperiment(spec=_PSR),
+            ),
+            precision=_PRECISION,
+            profile="quick",
+            engine="reference",
+            n_workers=2,
+            seed=5,
+            title="T",
+            notes=("n",),
+        )
+    ],
+}
+
+
+def _default_of(spec_field):
+    if spec_field.default is not dataclasses.MISSING:
+        return spec_field.default
+    if spec_field.default_factory is not dataclasses.MISSING:
+        return spec_field.default_factory()
+    return dataclasses.MISSING
+
+
+class TestEveryFieldRoundTrip:
+    """Runtime guarantee that no field drops out of the JSON form."""
+
+    def test_every_codec_class_is_covered(self):
+        assert set(EVERY_FIELD_INSTANCES) == set(SpecCodec.__subclasses__())
+
+    @pytest.mark.parametrize("cls", list(EVERY_FIELD_INSTANCES), ids=lambda cls: cls.__name__)
+    def test_instances_set_every_field(self, cls):
+        unset = {
+            spec_field.name
+            for spec_field in dataclasses.fields(cls)
+            if all(
+                getattr(instance, spec_field.name) == _default_of(spec_field)
+                for instance in EVERY_FIELD_INSTANCES[cls]
+            )
+        }
+        assert not unset, f"no {cls.__name__} test instance sets {sorted(unset)}"
+
+    def test_editing_a_payload_leaves_the_spec_alone(self):
+        spec = builtin_spec("fig13-simulated")
+        key = stable_key(spec)
+        payload = spec.to_dict()
+        payload["params"]["deployment"]["n_floors"] = 1
+        assert stable_key(spec) == key
+
+    @pytest.mark.parametrize("cls", list(EVERY_FIELD_INSTANCES), ids=lambda cls: cls.__name__)
+    def test_round_trip_keeps_every_field_and_the_hash(self, cls):
+        names = [spec_field.name for spec_field in dataclasses.fields(cls)]
+        if cls in (ExperimentSpec, CampaignSpec):
+            names = ["schema_version", *names]
+        for instance in EVERY_FIELD_INSTANCES[cls]:
+            assert list(instance.to_dict()) == names
+            restored = cls.from_json(instance.to_json())
+            assert restored == instance
+            assert stable_key(restored) == stable_key(instance)
+
+
+class TestErrorPaths:
+    """Decoder errors name the full JSON path of the offending entry."""
+
+    def _campaign(self) -> CampaignSpec:
+        return CampaignSpec(
+            name="paths",
+            experiments=(
+                CampaignExperiment(builtin="fig4"),
+                CampaignExperiment(spec=_psr_spec(), precision=PrecisionSpec()),
+            ),
+        )
+
+    def test_campaign_entry_precision(self):
+        payload = self._campaign().to_dict()
+        payload["experiments"][1]["precision"]["bogus"] = 1
+        with pytest.raises(SpecError, match=re.escape("CampaignSpec.experiments[1].precision")):
+            CampaignSpec.from_dict(payload)
+
+    def test_scenario_interferer_channel(self):
+        payload = _psr_spec().to_dict()
+        payload["scenario"]["interferers"][0]["channel"]["bogus"] = 1
+        with pytest.raises(
+            SpecError, match=re.escape("ExperimentSpec.scenario.interferers[0].channel")
+        ):
+            ExperimentSpec.from_dict(payload)
+        payload = self._campaign().to_dict()
+        payload["experiments"][1]["spec"]["scenario"]["interferers"][0]["channel"]["bogus"] = 1
+        with pytest.raises(
+            SpecError,
+            match=re.escape("CampaignSpec.experiments[1].spec.scenario.interferers[0].channel"),
+        ):
+            CampaignSpec.from_dict(payload)
+
+    def test_invalid_value_names_its_entry(self):
+        payload = self._campaign().to_dict()
+        payload["experiments"][1]["precision"]["growth"] = 0.5
+        with pytest.raises(SpecError, match=re.escape("CampaignSpec.experiments[1].precision: ")):
+            CampaignSpec.from_dict(payload)
+
+    def test_wrong_json_shapes(self):
+        payload = _psr_spec().to_dict()
+        payload["sweep"]["axes"] = {"field": "sir_db"}
+        with pytest.raises(SpecError, match=re.escape("sweep.axes must be a JSON array")):
+            ExperimentSpec.from_dict(payload)
+        payload = _psr_spec().to_dict()
+        payload["sweep"]["axes"][0] = ["sir_db"]
+        with pytest.raises(SpecError, match=re.escape("sweep.axes[0] must be a JSON object")):
+            ExperimentSpec.from_dict(payload)
+        with pytest.raises(SpecError, match=re.escape("ChannelSpec.taps[1] must have 2 entries")):
+            ChannelSpec.from_dict({"kind": "static", "taps": [[1.0, 0.0], [0.5, 0.5, 0.5]]})

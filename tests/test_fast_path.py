@@ -64,9 +64,6 @@ class TestKdeFastPath:
         qp = rng.uniform(-4.0, 4.0, (23, 6, 4))
         full = kde.log_density(qa, qp, max_chunk_elements=10**9)
         assert np.array_equal(full, kde.log_density(qa, qp, max_chunk_elements=budget))
-        fused_full = kde.log_density(qa, qp, fused=True, max_chunk_elements=10**9)
-        fused_chunked = kde.log_density(qa, qp, fused=True, max_chunk_elements=budget)
-        assert np.array_equal(fused_full, fused_chunked)
 
     @pytest.mark.parametrize("n_samples", [1, 2, 5])
     def test_fused_kernel_matches_reference_kernel(self, n_samples):
@@ -74,7 +71,7 @@ class TestKdeFastPath:
         qa = rng.uniform(0.0, 2.0, (23, 8))
         qp = rng.uniform(-4.0, 4.0, (23, 8))
         reference = kde.log_density(qa, qp)
-        fused = kde.log_density(qa, qp, fused=True)
+        fused = kde._log_density_fused_block(qa, qp)
         assert np.allclose(reference, fused, rtol=1e-9, atol=1e-9)
 
     def test_invalid_budget_rejected(self):

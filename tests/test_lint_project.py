@@ -621,7 +621,7 @@ class TestPicklabilityReach:
 
 
 # --------------------------------------------------------------------------- #
-# RPR010 — registry/spec coherence                                            #
+# RPR010 — registry coherence                                                 #
 # --------------------------------------------------------------------------- #
 class TestRegistryCoherence:
     def test_flags_duplicate_registration_across_modules(self):
@@ -669,73 +669,6 @@ class TestRegistryCoherence:
             codes=["RPR010"],
         )
         assert diagnostics == []
-
-    def test_flags_from_dict_reading_unknown_key(self):
-        diagnostics = lint_fixture(
-            {
-                "src/repro/spec.py": """
-                    from dataclasses import dataclass
-
-                    @dataclass(frozen=True)
-                    class PointSpec:
-                        seed: int
-                        snr_db: float
-
-                        def to_dict(self):
-                            return {"seed": self.seed, "snr_db": self.snr_db}
-
-                        @classmethod
-                        def from_dict(cls, payload):
-                            return cls(seed=payload["seed"], snr_db=payload["snr"])
-                    """
-            },
-            codes=["RPR010"],
-        )
-        assert codes_of(diagnostics) == ["RPR010"]
-        assert "snr" in diagnostics[0].message
-
-    def test_round_tripping_spec_is_clean(self):
-        diagnostics = lint_fixture(
-            {
-                "src/repro/spec.py": """
-                    from dataclasses import dataclass
-
-                    @dataclass(frozen=True)
-                    class PointSpec:
-                        seed: int
-                        snr_db: float
-
-                        def to_dict(self):
-                            return {"seed": self.seed, "snr_db": self.snr_db}
-
-                        @classmethod
-                        def from_dict(cls, payload):
-                            return cls(seed=payload["seed"], snr_db=payload["snr_db"])
-                    """
-            },
-            codes=["RPR010"],
-        )
-        assert diagnostics == []
-
-    def test_flags_validate_referencing_unknown_field(self):
-        diagnostics = lint_fixture(
-            {
-                "src/repro/spec.py": """
-                    from dataclasses import dataclass
-
-                    @dataclass(frozen=True)
-                    class SweepSpec:
-                        seed: int
-
-                        def validate(self):
-                            if self.seeed < 0:
-                                raise ValueError("bad seed")
-                    """
-            },
-            codes=["RPR010"],
-        )
-        assert codes_of(diagnostics) == ["RPR010"]
-        assert "seeed" in diagnostics[0].message
 
 
 # --------------------------------------------------------------------------- #
